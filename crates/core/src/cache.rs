@@ -12,8 +12,9 @@
 //! [`EvalSession`] wraps a [`System`] and memoizes
 //! [`evaluate_layer`](EvalSession::evaluate_layer) behind a thread-safe
 //! [`EvalCache`]; [`evaluate_network`](EvalSession::evaluate_network)
-//! groups identical layers, evaluates each unique signature once (fanning
-//! the unique work out over [`SweepRunner`] threads) and reassembles the
+//! groups identical layers, answers the unique signatures already cached
+//! under one read lock, evaluates the rest once (fanning only those
+//! misses out over [`SweepRunner`] threads) and reassembles the
 //! per-layer results in execution order — **bit-identical** to the
 //! sequential [`System::evaluate_network`] path, which the golden suite
 //! pins.
@@ -475,16 +476,16 @@ impl EvalSession {
 
     /// Disables memoization for this session (builder style) — the A/B
     /// escape hatch behind the CLI's `--no-cache`. Unique-signature
-    /// grouping in [`evaluate_network`](EvalSession::evaluate_network) is
-    /// disabled too, so every layer evaluates exactly as the sequential
-    /// path would.
+    /// grouping in [`evaluate_network`](EvalSession::evaluate_network) and
+    /// the serving traces' step memo are disabled too, so every layer
+    /// evaluates exactly as the sequential path would.
     #[must_use]
     pub fn without_cache(mut self) -> EvalSession {
         self.cache = None;
         self
     }
 
-    /// Uses `runner` for the unique-layer fan-out (builder style).
+    /// Uses `runner` for the cache-miss fan-out (builder style).
     /// Drivers that already parallelize an outer sweep pass
     /// `SweepRunner::with_threads(1)` to keep the thread count flat.
     #[must_use]
@@ -574,8 +575,9 @@ impl EvalSession {
     /// Evaluates every layer of `network` under `options` — same
     /// semantics and bit-identical results to
     /// [`System::evaluate_network`] — but evaluates each unique
-    /// *(signature, reroute)* only once, fanning the unique work out over
-    /// this session's [`SweepRunner`].
+    /// *(signature, reroute)* only once, fanning the cache misses out
+    /// over this session's [`SweepRunner`] (an all-hit call runs on the
+    /// calling thread).
     ///
     /// # Errors
     ///
@@ -587,21 +589,7 @@ impl EvalSession {
         network: &Network,
         options: &NetworkOptions,
     ) -> Result<NetworkEvaluation, SystemError> {
-        if self.preflight {
-            let report = self.preflight(Some(network));
-            if !report.is_clean() {
-                let first = report
-                    .diagnostics()
-                    .iter()
-                    .find(|d| d.severity == lumen_lint::Severity::Error)
-                    .map(ToString::to_string)
-                    .unwrap_or_default();
-                return Err(SystemError::Preflight {
-                    errors: report.errors(),
-                    first,
-                });
-            }
-        }
+        self.preflight_gate(network)?;
         let batch = options.batch.max(1);
         let batched = if batch > 1 {
             network.with_batch(batch)
@@ -637,15 +625,46 @@ impl EvalSession {
         // Deduplicated positions are cache hits in every sense that
         // matters — lookups answered without mapping search — so count
         // them before the unique work runs.
-        if let Some(cache) = &self.cache {
-            let deduped = (slot_of.len() - unique.len()) as u64;
-            cache.hits.fetch_add(deduped, Ordering::Relaxed);
-            self.hits.fetch_add(deduped, Ordering::Relaxed);
-        }
+        self.credit_hits((slot_of.len() - unique.len()) as u64);
 
-        let evals: Vec<LayerEvaluation> = self.runner.try_run(unique, |(i, reroute)| {
-            self.cached_eval(&batched.layers()[i], &reroute)
+        // Answer every already-cached unique key under one read lock, so
+        // only the misses fan out: a call where every key hits never
+        // spawns a worker.
+        let mut resolved: Vec<Option<Result<LayerEvaluation, SystemError>>> =
+            vec![None; unique.len()];
+        if let Some(cache) = &self.cache {
+            let map = cache.map.read().expect("cache lock");
+            for (slot, (i, reroute)) in unique.iter().enumerate() {
+                let layer = &batched.layers()[*i];
+                if let Some(found) = map.get(&self.key(layer, reroute)) {
+                    resolved[slot] = Some(rename(found.clone(), layer.name()));
+                }
+            }
+        }
+        self.credit_hits(resolved.iter().flatten().count() as u64);
+        // The earliest failure in execution order wins, as in the
+        // sequential walk: a cached failure stands unless a miss ahead
+        // of it fails first, and misses behind it need not run.
+        let first_cached_failure = resolved
+            .iter()
+            .position(|r| matches!(r, Some(Err(_))))
+            .unwrap_or(unique.len());
+        let pending: Vec<usize> = (0..first_cached_failure)
+            .filter(|&slot| resolved[slot].is_none())
+            .collect();
+        let fresh = self.runner.try_run(pending.iter().copied(), |slot| {
+            let (i, reroute) = &unique[slot];
+            self.cached_eval(&batched.layers()[*i], reroute)
         })?;
+        for (slot, eval) in pending.into_iter().zip(fresh) {
+            resolved[slot] = Some(Ok(eval));
+        }
+        // Every slot up to the first failure is resolved now; unresolved
+        // slots can only sit behind it, where the collect stops.
+        let evals = resolved
+            .into_iter()
+            .flatten()
+            .collect::<Result<Vec<LayerEvaluation>, SystemError>>()?;
 
         // Reassemble in execution order. Totals are merged per layer —
         // not scaled by multiplicity — so floating-point accumulation
@@ -672,11 +691,54 @@ impl EvalSession {
         })
     }
 
+    /// Runs the static pre-flight gate when this session was built
+    /// [`with_preflight`](EvalSession::with_preflight): refuses `network`
+    /// on any error-severity finding.
+    pub(crate) fn preflight_gate(&self, network: &Network) -> Result<(), SystemError> {
+        if !self.preflight {
+            return Ok(());
+        }
+        let report = self.preflight(Some(network));
+        if report.is_clean() {
+            return Ok(());
+        }
+        let first = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.severity == lumen_lint::Severity::Error)
+            .map(ToString::to_string)
+            .unwrap_or_default();
+        Err(SystemError::Preflight {
+            errors: report.errors(),
+            first,
+        })
+    }
+
+    /// Credits `n` layer lookups answered without touching the cache map
+    /// — in-network duplicates, or a whole memoized serving step — to
+    /// this session's and the cache's hit counters, so hits + misses
+    /// keep counting every layer evaluated. A no-op without a cache.
+    pub(crate) fn credit_hits(&self, n: u64) {
+        if let Some(cache) = &self.cache {
+            cache.hits.fetch_add(n, Ordering::Relaxed);
+            self.hits.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    fn key(&self, layer: &Layer, reroute: &Reroute) -> EvalKey {
+        EvalKey {
+            arch: self.arch_fp,
+            strategy: self.strategy_fp,
+            signature: layer.signature(),
+            reroute: reroute.entries.clone(),
+        }
+    }
+
     /// The memoized core: look up, else evaluate and publish. The
     /// returned evaluation (or error) always carries the *requested*
     /// layer's name, regardless of which identically-shaped layer
     /// populated the cache.
-    fn cached_eval(
+    pub(crate) fn cached_eval(
         &self,
         layer: &Layer,
         reroute: &Reroute,
@@ -684,12 +746,7 @@ impl EvalSession {
         let Some(cache) = &self.cache else {
             return self.system.evaluate_layer_rerouted(layer, reroute);
         };
-        let key = EvalKey {
-            arch: self.arch_fp,
-            strategy: self.strategy_fp,
-            signature: layer.signature(),
-            reroute: reroute.entries.clone(),
-        };
+        let key = self.key(layer, reroute);
         if let Some(found) = cache.map.read().expect("cache lock").get(&key) {
             cache.hits.fetch_add(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -910,8 +967,10 @@ mod tests {
         assert_eq!(l2, "twin", "cached error renamed to the asking layer");
     }
 
-    #[test]
-    fn network_error_matches_sequential_choice() {
+    /// All temporal loops at the compute level over a 64-bit buffer:
+    /// the buffer must hold each layer's whole tensors, so a 1×1 layer
+    /// maps (3 elements) and anything sizeable blows the capacity.
+    fn capacity_bound_system() -> System {
         let arch = ArchBuilder::new("tiny", Frequency::from_gigahertz(1.0))
             .storage("dram", Domain::DigitalElectrical, TensorSet::all())
             .done()
@@ -921,16 +980,18 @@ mod tests {
             .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
             .build()
             .unwrap();
-        // All temporal loops at the compute level: the buffer must hold
-        // each layer's whole tensors, so the tiny layer maps (3 elements)
-        // and the big twins blow the 64-bit capacity.
-        let system = System::new(
+        System::new(
             arch,
             MappingStrategy::Planned {
                 priority: lumen_mapper::search::DEFAULT_SPATIAL_PRIORITY.to_vec(),
                 plan: lumen_mapper::search::TemporalPlan::all_at(2),
             },
-        );
+        )
+    }
+
+    #[test]
+    fn network_error_matches_sequential_choice() {
+        let system = capacity_bound_system();
         let net = Network::new("n")
             .push(Layer::conv2d("ok", 1, 1, 1, 1, 1, 1, 1))
             .push(Layer::conv2d("big0", 1, 64, 64, 32, 32, 3, 3))
@@ -942,6 +1003,36 @@ mod tests {
             .evaluate_network(&net, &NetworkOptions::baseline())
             .unwrap_err();
         assert_eq!(sequential, cached, "same earliest-layer error");
+    }
+
+    #[test]
+    fn cached_failures_keep_the_earliest_error_and_skip_later_misses() {
+        let system = capacity_bound_system();
+        let ok = || Layer::conv2d("ok", 1, 1, 1, 1, 1, 1, 1);
+        let wide = || Layer::conv2d("wide", 1, 64, 64, 32, 32, 3, 3);
+        let deep = || Layer::conv2d("deep", 1, 32, 64, 32, 32, 3, 3);
+        let session = EvalSession::new(system.clone());
+        let options = NetworkOptions::baseline();
+        // Cache the failure of `deep` alone.
+        let primed = Network::new("p").push(deep());
+        session.evaluate_network(&primed, &options).unwrap_err();
+        assert_eq!(session.cache_stats().misses, 1);
+
+        // The cached failure comes first: it is the error, and the miss
+        // behind it is never searched.
+        let net = Network::new("n").push(ok()).push(deep()).push(wide());
+        let err = session.evaluate_network(&net, &options).unwrap_err();
+        assert_eq!(err, system.evaluate_network(&net, &options).unwrap_err());
+        assert_eq!(session.cache_stats().misses, 2, "`ok` searched, `wide` not");
+
+        // A failing miss ahead of the cached failure wins instead.
+        let net = Network::new("n").push(ok()).push(wide()).push(deep());
+        let err = session.evaluate_network(&net, &options).unwrap_err();
+        assert_eq!(err, system.evaluate_network(&net, &options).unwrap_err());
+        let SystemError::NoMapping { layer, .. } = err else {
+            panic!("expected NoMapping, got {err}");
+        };
+        assert_eq!(layer, "wide");
     }
 
     #[test]

@@ -15,13 +15,19 @@
 //! [`RequestLatency`] records — time-to-first-token and
 //! time-between-tokens percentiles in real time at the system clock.
 //!
-//! The step networks are pure functions of each step's *bucketed
-//! composition* (the multiset of padded attend lengths with group
-//! sizes), so a thousand-step schedule revisits a handful of distinct
-//! compositions and the session's content-addressed cache answers almost
-//! every layer without a mapping search — the same economics that make
-//! [`crate::decode::decode_sweep`] affordable, extended to mixed-length
-//! traffic.
+//! The step networks are pure functions of each step's *composition*
+//! (the padded attend-length classes with group sizes, plus each prefill
+//! chunk's padded length, size and copy-on-write), so a thousand-step
+//! schedule revisits far fewer distinct compositions. Both entry points
+//! therefore cost steps through a per-call step-cost oracle: a step whose
+//! composition was already costed is answered from a memo without being
+//! lowered, and any other step is lowered and folded layer by layer
+//! against compact per-signature records, each looked up in the
+//! session's content-addressed cache once. The points are bit-identical
+//! to evaluating every step network with
+//! [`EvalSession::evaluate_network`], and the session's
+//! [`cache_stats`](EvalSession::cache_stats) still count one lookup per
+//! lowered layer.
 //!
 //! # Examples
 //!
@@ -61,9 +67,16 @@
 //! assert!(result.pj_per_token() > 0.0);
 //! ```
 
-use crate::{EvalSession, NetworkEvaluation, NetworkOptions, SystemError};
+use crate::evaluator::Reroute;
+use crate::network::fusion_reroute;
+use crate::{CostCategory, EvalSession, LayerEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
 use lumen_workload::serving::{BatchSchedule, KvLayout, ServingModel, ServingSchedule};
+use lumen_workload::{LayerSignature, Network, TensorKind};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
 /// trace stays cheap to hold.
@@ -318,33 +331,36 @@ fn request_latencies(
     steps: &[StepMembers],
     cycles: &[f64],
 ) -> Vec<RequestLatency> {
-    use std::collections::BTreeMap;
-    // (wall, start-time) per emitted step, to resolve arrival steps —
-    // which may fall in a fast-forwarded idle gap — onto the cycle
-    // clock of the first busy step at or after them.
-    let mut spans = Vec::with_capacity(steps.len());
-    let mut records: BTreeMap<usize, RequestLatency> = BTreeMap::new();
+    let requests = steps
+        .iter()
+        .flat_map(|s| s.prefill.iter().chain(&s.decode))
+        .max()
+        .map_or(0, |&r| r + 1);
+    let mut records: Vec<Option<RequestLatency>> = vec![None; requests];
+    // Start time per emitted step, to resolve arrival steps — which may
+    // fall in a fast-forwarded idle gap — onto the cycle clock of the
+    // first busy step at or after them.
+    let mut starts = Vec::with_capacity(steps.len());
     let mut now = 0.0;
     for (step, &dur) in steps.iter().zip(cycles) {
         let (start, end) = (now, now + dur);
-        spans.push((step.wall, start));
+        starts.push(start);
         now = end;
-        for &request in step.prefill.iter().chain(&step.decode) {
-            records.entry(request).or_insert(RequestLatency {
-                request,
-                arrival_cycles: 0.0,
-                admission_cycles: start,
-                first_token_cycles: f64::NAN,
-                retire_cycles: end,
-                generated: 0,
-                token_gap_cycles: Vec::new(),
-            });
+        let admit = |request| RequestLatency {
+            request,
+            arrival_cycles: 0.0,
+            admission_cycles: start,
+            first_token_cycles: f64::NAN,
+            retire_cycles: end,
+            generated: 0,
+            token_gap_cycles: Vec::new(),
+        };
+        for &request in &step.prefill {
+            records[request].get_or_insert_with(|| admit(request));
         }
         for &request in &step.decode {
             // Every decoding slot completes one token at step end.
-            let record = records
-                .get_mut(&request)
-                .expect("decoding request was just inserted");
+            let record = records[request].get_or_insert_with(|| admit(request));
             if record.generated == 0 {
                 record.first_token_cycles = end;
             } else {
@@ -354,31 +370,226 @@ fn request_latencies(
             record.retire_cycles = end;
         }
     }
-    let mut records: Vec<RequestLatency> = records.into_values().collect();
+    let mut records: Vec<RequestLatency> = records.into_iter().flatten().collect();
     if let Some(arrivals) = arrivals {
         for record in &mut records {
             let wall = arrivals.get(record.request).copied().unwrap_or(0);
-            // First emitted step at or after the arrival step: its
-            // start is when the server could first see the request.
-            record.arrival_cycles = spans
-                .iter()
-                .find(|&&(w, _)| w >= wall)
-                .map_or(0.0, |&(_, start)| start);
+            // First emitted step at or after the arrival step (wall
+            // steps are increasing): its start is when the server could
+            // first see the request.
+            let first = steps.partition_point(|s| s.wall < wall);
+            record.arrival_cycles = starts.get(first).copied().unwrap_or(0.0);
         }
     }
     records
 }
 
-/// Element accesses at the outermost architecture level of one
-/// evaluated step network: the backing store's read+write+conversion
-/// traffic, summed over the step's layers. (`LayerAnalysis::levels` is
-/// outermost-first, so index 0 is the DRAM-like level.)
-fn step_backing_accesses(eval: &NetworkEvaluation) -> f64 {
-    eval.per_layer
+/// What one evaluated step contributes to its [`ServingStepPoint`],
+/// plus the step's lowered layer count — the lookups a memo hit
+/// answers at once.
+#[derive(Debug, Clone, Copy)]
+struct StepCost {
+    macs: u64,
+    backing_accesses: f64,
+    energy: Energy,
+    cycles: f64,
+    utilization: f64,
+    layers: u64,
+}
+
+impl StepCost {
+    fn point(&self, step: usize, occupancy: usize, prefill_tokens: usize) -> ServingStepPoint {
+        ServingStepPoint {
+            step,
+            occupancy,
+            prefill_tokens,
+            macs: self.macs,
+            backing_accesses: self.backing_accesses,
+            energy: self.energy,
+            cycles: self.cycles,
+            utilization: self.utilization,
+        }
+    }
+}
+
+/// One evaluated `(signature, reroute)`, reduced to what the step fold
+/// reads. Energy labels are interned ids, so folding a record neither
+/// clones a string nor compares one.
+#[derive(Debug)]
+struct LayerRecord {
+    cycles: u64,
+    /// The evaluated (batched) layer's MACs — the utilization weight.
+    macs: u64,
+    utilization: f64,
+    /// Accesses at the outermost level, when the analysis has one.
+    backing_accesses: Option<f64>,
+    energy: Vec<(usize, CostCategory, Option<TensorKind>, Energy)>,
+}
+
+/// The step-cost oracle behind [`serving_sweep`] and
+/// [`serving_trace_with`]: one per call, answering a step's
+/// [`StepCost`] from
+///
+/// - a **step memo** keyed on the step's composition (`K`) — under one
+///   model, layout and option set, equal keys lower to identical
+///   signature sequences, so a hit skips lowering and evaluation
+///   outright and credits the step's layer count to the session's hit
+///   counters;
+/// - else a **compact fold** of the lowered step against a table of
+///   [`LayerRecord`]s keyed by `(signature, reroute)`. A pair the table
+///   has not seen goes through the session's cache (which counts the
+///   hit or miss exactly as [`EvalSession::evaluate_network`] would);
+///   a pair it has seen is a hit. The accumulation replays
+///   `evaluate_network`'s — execution order, `EnergyBreakdown::merge`'s
+///   zero-skip and first-insertion item order, the `1/batch` scale, the
+///   fusion reroutes — so every point is bit-identical to the
+///   per-layer path.
+///
+/// Both tables are off when the session has no cache: `--no-cache`
+/// then evaluates every layer of every step.
+struct StepOracle<'a, K> {
+    session: &'a EvalSession,
+    options: &'a NetworkOptions,
+    memo: Option<HashMap<K, StepCost>>,
+    slots: Option<HashMap<(LayerSignature, Reroute), usize>>,
+    records: Vec<LayerRecord>,
+    labels: HashMap<String, usize>,
+}
+
+impl<'a, K: Hash + Eq> StepOracle<'a, K> {
+    fn new(session: &'a EvalSession, options: &'a NetworkOptions) -> StepOracle<'a, K> {
+        let cached = session.cache().is_some();
+        StepOracle {
+            session,
+            options,
+            memo: cached.then(HashMap::new),
+            slots: cached.then(HashMap::new),
+            records: Vec::new(),
+            labels: HashMap::new(),
+        }
+    }
+
+    /// The cost of the step keyed `key`, lowering it with `lower` only
+    /// on a memo miss.
+    fn cost(&mut self, key: K, lower: impl FnOnce() -> Network) -> Result<StepCost, SystemError> {
+        if let Some(cost) = self.memo.as_ref().and_then(|memo| memo.get(&key)) {
+            self.session.credit_hits(cost.layers);
+            return Ok(*cost);
+        }
+        let cost = self.fold(&lower())?;
+        if let Some(memo) = &mut self.memo {
+            memo.insert(key, cost);
+        }
+        Ok(cost)
+    }
+
+    fn fold(&mut self, network: &Network) -> Result<StepCost, SystemError> {
+        self.session.preflight_gate(network)?;
+        let batch = self.options.batch.max(1);
+        let arch = self.session.system().arch();
+        let last = network.layers().len().saturating_sub(1);
+        if self.slots.is_none() {
+            self.records.clear();
+        }
+        let mut ids = Vec::with_capacity(network.layers().len());
+        let (mut macs, mut hits) = (0u64, 0u64);
+        for (i, layer) in network.layers().iter().enumerate() {
+            macs += layer.macs();
+            let batched = if batch > 1 {
+                Cow::Owned(layer.clone().with_batch(batch))
+            } else {
+                Cow::Borrowed(layer)
+            };
+            let reroute = fusion_reroute(arch, self.options.fusion.as_ref(), i, last);
+            let id = match &mut self.slots {
+                Some(slots) => match slots.entry((batched.signature(), reroute)) {
+                    Entry::Occupied(slot) => {
+                        hits += 1;
+                        *slot.get()
+                    }
+                    Entry::Vacant(slot) => {
+                        let eval = self.session.cached_eval(&batched, &slot.key().1)?;
+                        let id = self.records.len();
+                        self.records.push(record(&mut self.labels, &eval));
+                        *slot.insert(id)
+                    }
+                },
+                None => {
+                    let eval = self.session.cached_eval(&batched, &reroute)?;
+                    self.records.push(record(&mut self.labels, &eval));
+                    self.records.len() - 1
+                }
+            };
+            ids.push(id);
+        }
+        self.session.credit_hits(hits);
+
+        let mut items: Vec<(usize, CostCategory, Option<TensorKind>, Energy)> = Vec::new();
+        let mut cycles = 0u64;
+        for &id in &ids {
+            let record = &self.records[id];
+            cycles += record.cycles;
+            for &(label, category, tensor, energy) in &record.energy {
+                // `EnergyBreakdown::merge`: zero items are skipped and
+                // repeats sum into the first insertion.
+                if energy == Energy::ZERO {
+                    continue;
+                }
+                match items
+                    .iter_mut()
+                    .find(|i| i.0 == label && i.1 == category && i.2 == tensor)
+                {
+                    Some(item) => item.3 += energy,
+                    None => items.push((label, category, tensor, energy)),
+                }
+            }
+        }
+        let scale = 1.0 / batch as f64;
+        let records = || ids.iter().map(|&id| &self.records[id]);
+        let evaluated_macs: f64 = records().map(|r| r.macs as f64).sum();
+        Ok(StepCost {
+            macs,
+            backing_accesses: records().filter_map(|r| r.backing_accesses).sum(),
+            energy: items.iter().map(|i| i.3 * scale).sum(),
+            cycles: cycles as f64 * scale,
+            utilization: records()
+                .map(|r| r.utilization * r.macs as f64 / evaluated_macs)
+                .sum(),
+            layers: ids.len() as u64,
+        })
+    }
+}
+
+/// Reduces a layer evaluation to its [`LayerRecord`], interning its
+/// energy labels into `labels`.
+fn record(labels: &mut HashMap<String, usize>, eval: &LayerEvaluation) -> LayerRecord {
+    let energy = eval
+        .energy
+        .items()
         .iter()
-        .filter_map(|l| l.analysis.levels.first())
-        .map(lumen_mapper::LevelTraffic::total_accesses)
-        .sum()
+        .map(|item| {
+            let label = match labels.get(&item.label) {
+                Some(&id) => id,
+                None => {
+                    let id = labels.len();
+                    labels.insert(item.label.clone(), id);
+                    id
+                }
+            };
+            (label, item.category, item.tensor, item.energy)
+        })
+        .collect();
+    LayerRecord {
+        cycles: eval.analysis.cycles,
+        macs: eval.analysis.macs,
+        utilization: eval.analysis.utilization,
+        backing_accesses: eval
+            .analysis
+            .levels
+            .first()
+            .map(lumen_mapper::LevelTraffic::total_accesses),
+        energy,
+    }
 }
 
 /// Evaluates every step of `schedule` — lowered by `model` at
@@ -403,23 +614,16 @@ pub fn serving_sweep(
     kv_bucket: usize,
     options: &NetworkOptions,
 ) -> Result<ServingEvaluation, SystemError> {
+    let mut oracle = StepOracle::new(session, options);
     let points = schedule
         .steps()
         .iter()
         .enumerate()
         .map(|(step, state)| {
-            let net = model.lower_step(&state.kv_lens(), kv_bucket);
-            let eval = session.evaluate_network(&net, options)?;
-            Ok(ServingStepPoint {
-                step,
-                occupancy: state.occupancy(),
-                prefill_tokens: 0,
-                macs: eval.macs,
-                backing_accesses: step_backing_accesses(&eval),
-                energy: eval.energy.total(),
-                cycles: eval.cycles,
-                utilization: eval.average_utilization(),
-            })
+            let kv_lens = state.kv_lens();
+            let key = ServingModel::bucketed_composition(&kv_lens, kv_bucket);
+            let cost = oracle.cost(key, || model.lower_step(&kv_lens, kv_bucket))?;
+            Ok(cost.point(step, state.occupancy(), 0))
         })
         .collect::<Result<Vec<_>, SystemError>>()?;
     let members: Vec<StepMembers> = schedule
@@ -497,23 +701,15 @@ pub fn serving_trace_with(
     layout: &KvLayout,
     options: &NetworkOptions,
 ) -> Result<ServingEvaluation, SystemError> {
+    let mut oracle = StepOracle::new(session, options);
     let points = schedule
         .steps()
         .iter()
         .enumerate()
         .map(|(step, state)| {
-            let net = model.lower_serving_step_with(state, layout);
-            let eval = session.evaluate_network(&net, options)?;
-            Ok(ServingStepPoint {
-                step,
-                occupancy: state.decode().len(),
-                prefill_tokens: state.prefill_tokens(),
-                macs: eval.macs,
-                backing_accesses: step_backing_accesses(&eval),
-                energy: eval.energy.total(),
-                cycles: eval.cycles,
-                utilization: eval.average_utilization(),
-            })
+            let key = ServingModel::step_key(state, layout);
+            let cost = oracle.cost(key, || model.lower_serving_step_with(state, layout))?;
+            Ok(cost.point(step, state.decode().len(), state.prefill_tokens()))
         })
         .collect::<Result<Vec<_>, SystemError>>()?;
     let members: Vec<StepMembers> = schedule
@@ -562,6 +758,68 @@ mod tests {
             .build()
             .unwrap();
         EvalSession::new(System::new(arch, MappingStrategy::default()))
+    }
+
+    /// A one-request step membership: `request` decoding at `wall`.
+    fn decoding(wall: usize, request: usize) -> StepMembers {
+        StepMembers {
+            wall,
+            decode: vec![request],
+            prefill: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn arrivals_in_an_idle_gap_start_at_the_next_busy_step() {
+        // Busy at walls 0, 1, 5, 6; walls 2–4 were fast-forwarded.
+        let steps = [
+            decoding(0, 0),
+            decoding(1, 0),
+            decoding(5, 1),
+            decoding(6, 1),
+        ];
+        let cycles = [10.0, 20.0, 30.0, 40.0];
+        let records = request_latencies(Some(&[0, 3]), &steps, &cycles);
+        assert_eq!(records.len(), 2);
+        // Request 1 arrived at wall 3, inside the gap: its clock starts
+        // when the wall-5 step does, after 30 cycles of work.
+        let r = &records[1];
+        assert_eq!(r.request, 1);
+        assert_eq!(r.arrival_cycles, 30.0);
+        assert_eq!(r.admission_cycles, 30.0);
+        assert_eq!(r.first_token_cycles, 60.0);
+        assert_eq!(r.token_gap_cycles, vec![40.0]);
+        assert_eq!(r.ttft_cycles(), 30.0);
+    }
+
+    #[test]
+    fn arrivals_after_the_last_busy_step_fall_back_to_the_origin() {
+        let steps = [decoding(0, 0), decoding(1, 0)];
+        let records = request_latencies(Some(&[9]), &steps, &[5.0, 5.0]);
+        // No step at or after wall 9: the record keeps the trace origin.
+        assert_eq!(records[0].arrival_cycles, 0.0);
+        assert_eq!(records[0].retire_cycles, 10.0);
+        assert_eq!(records[0].generated, 2);
+    }
+
+    #[test]
+    fn preflight_gates_memo_missing_steps() {
+        // A negative read energy passes the builder but not the lint.
+        let arch = ArchBuilder::new("bad", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(-5.0))
+            .done()
+            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
+            .build()
+            .unwrap();
+        let session =
+            EvalSession::new(System::new(arch, MappingStrategy::default())).with_preflight();
+        let schedule = BatchSchedule::build(&RequestMix::uniform(2, 16, 2), 2);
+        let model = ServingModel::gpt2_small();
+        let err = serving_sweep(&session, &model, &schedule, 64, &NetworkOptions::baseline())
+            .unwrap_err();
+        assert!(matches!(err, SystemError::Preflight { .. }), "{err}");
+        assert_eq!(session.cache_stats().misses, 0, "nothing was searched");
     }
 
     #[test]

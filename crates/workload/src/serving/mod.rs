@@ -474,6 +474,17 @@ impl BatchSchedule {
     }
 }
 
+/// What [`ServingModel::step_key`] reduces a [`ServingStep`] to: the
+/// step's composition as the lowering sees it. Keys compare meaningfully
+/// only between steps lowered by the same model under the same
+/// [`KvLayout`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StepKey {
+    decode: usize,
+    classes: Vec<(usize, usize)>,
+    prefill: Vec<(usize, usize, usize)>,
+}
+
 /// The decoder-LM shape a scheduler step lowers onto: `blocks` pre-norm
 /// transformer decoder blocks (width `d_model`, `heads` heads, MLP
 /// hidden width `d_ff`) plus a `vocab`-wide LM head.
@@ -719,6 +730,36 @@ impl ServingModel {
                 table.cow_tokens()
             }
             _ => 0,
+        }
+    }
+
+    /// The step's lowering-relevant content under `layout`, computed
+    /// without building the [`Network`]: the decode occupancy, its
+    /// length classes at the layout's quantum (the
+    /// [`ServingModel::bucketed_composition`]), then each prefill slot's
+    /// `(padded attend length, chunk, copy-on-write tokens)` in slot
+    /// order. Under one model and one layout, two steps with equal keys
+    /// lower to networks with identical [`crate::LayerSignature`]
+    /// sequences — only layer names (request indices) differ — which
+    /// is what lets a trace evaluator memoize whole steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout's quantum is zero.
+    pub fn step_key(step: &ServingStep, layout: &KvLayout) -> StepKey {
+        let quantum = layout.quantum();
+        StepKey {
+            decode: step.decode().len(),
+            classes: ServingModel::bucketed_composition(&step.decode_kv_lens(), quantum),
+            prefill: step
+                .prefill()
+                .iter()
+                .map(|slot| {
+                    let len = (slot.cached + slot.chunk).div_ceil(quantum) * quantum;
+                    let cow = ServingModel::prefill_cow_tokens(layout, slot);
+                    (len, slot.chunk, cow)
+                })
+                .collect(),
         }
     }
 

@@ -16,14 +16,17 @@
 //! `BatchSchedule` slot for slot.
 
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
-use lumen::core::serving::{serving_sweep, serving_trace};
-use lumen::core::{EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen::core::serving::{serving_sweep, serving_trace, serving_trace_with, ServingStepPoint};
+use lumen::core::{CacheStats, EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen::mapper::LevelTraffic;
 use lumen::units::{Energy, Frequency};
 use lumen::workload::serving::{
     ArrivalProcess, BatchSchedule, KvLayout, PageTable, PrefillMode, Request, RequestMix,
-    ServingConfig, ServingModel, ServingSchedule,
+    ServingConfig, ServingModel, ServingSchedule, StepKey,
 };
-use lumen::workload::{networks, AdmissionPolicy, Dim, DimSet, TensorSet};
+use lumen::workload::{
+    networks, AdmissionPolicy, Dim, DimSet, Layer, LayerSignature, Network, TensorSet,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -501,4 +504,246 @@ proptest! {
             );
         }
     }
+}
+
+// --- step-cost oracle -------------------------------------------------
+
+/// The small decoder every oracle property lowers: two blocks keep the
+/// per-step networks short enough to evaluate hundreds of steps.
+fn tiny_model() -> ServingModel {
+    ServingModel::new("toy", 64, 4, 128, 2, 1000)
+}
+
+/// An open-loop, chunk-prefilled schedule over a seeded bimodal mix,
+/// optionally with a shared prompt prefix.
+fn oracle_schedule(seed: usize, capacity: usize, shared: usize) -> ServingSchedule {
+    let mix = RequestMix::bimodal(seed as u64, 10, (16, 3), (96, 7), 30).with_shared_prefix(shared);
+    let config = ServingConfig::new(capacity)
+        .with_arrival(ArrivalProcess::poisson(0.5, seed as u64))
+        .with_prefill(PrefillMode::OnAdmission { chunk: Some(12) });
+    ServingSchedule::build(&mix, &config)
+}
+
+/// The three residency layouts the oracle keys under: bucketed, paged,
+/// and paged with a page-misaligned shared prefix (copy-on-write).
+fn oracle_layouts() -> [(KvLayout, usize); 3] {
+    [
+        (KvLayout::Bucketed { bucket: 32 }, 0),
+        (KvLayout::Paged(PageTable::new(8)), 0),
+        (
+            KvLayout::Paged(PageTable::new(8).with_shared_prefix(10)),
+            10,
+        ),
+    ]
+}
+
+/// A point's scalars as raw bits: MACs, energy, cycles, utilization,
+/// backing-store accesses.
+fn point_bits(p: &ServingStepPoint) -> [u64; 5] {
+    [
+        p.macs,
+        p.energy.picojoules().to_bits(),
+        p.cycles.to_bits(),
+        p.utilization.to_bits(),
+        p.backing_accesses.to_bits(),
+    ]
+}
+
+/// The per-layer reference: `evaluate_network` on each lowered step,
+/// reduced to the same scalars, as raw bits.
+fn reference_bits(
+    session: &EvalSession,
+    nets: impl Iterator<Item = Network>,
+    options: &NetworkOptions,
+) -> Vec<[u64; 5]> {
+    nets.map(|net| {
+        let eval = session
+            .evaluate_network(&net, options)
+            .expect("step evaluates");
+        let backing: f64 = eval
+            .per_layer
+            .iter()
+            .filter_map(|l| l.analysis.levels.first())
+            .map(LevelTraffic::total_accesses)
+            .sum();
+        [
+            eval.macs,
+            eval.energy.total().picojoules().to_bits(),
+            eval.cycles.to_bits(),
+            eval.average_utilization().to_bits(),
+            backing.to_bits(),
+        ]
+    })
+    .collect()
+}
+
+/// Steps with equal keys lower to identical signature sequences.
+fn assert_equal_keys_lower_alike(
+    model: &ServingModel,
+    schedule: &ServingSchedule,
+    layout: &KvLayout,
+) {
+    let mut by_key: HashMap<StepKey, Vec<LayerSignature>> = HashMap::new();
+    for step in schedule.steps() {
+        let signatures: Vec<LayerSignature> = model
+            .lower_serving_step_with(step, layout)
+            .layers()
+            .iter()
+            .map(Layer::signature)
+            .collect();
+        let key = ServingModel::step_key(step, layout);
+        let first = by_key.entry(key).or_insert_with(|| signatures.clone());
+        assert_eq!(*first, signatures, "wall {}", step.wall());
+    }
+}
+
+fn toy_session() -> EvalSession {
+    EvalSession::new(System::new(toy_arch(), MappingStrategy::default()))
+}
+
+/// Every option set the oracle must fold like `evaluate_network`:
+/// baseline, batched (the `1/batch` scale) and fused (per-position
+/// reroutes).
+fn oracle_options() -> [NetworkOptions; 3] {
+    [
+        NetworkOptions::baseline(),
+        NetworkOptions::baseline().with_batch(2),
+        NetworkOptions::baseline().with_fusion("dram", "glb"),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Equal step keys lower to identical signature sequences, under
+    /// every layout — the fact that licenses memoizing whole steps.
+    #[test]
+    fn equal_step_keys_lower_to_equal_signatures(
+        seed in 0usize..1000,
+        capacity in 1usize..=6,
+    ) {
+        let model = tiny_model();
+        for (layout, shared) in oracle_layouts() {
+            let schedule = oracle_schedule(seed, capacity, shared);
+            assert_equal_keys_lower_alike(&model, &schedule, &layout);
+        }
+    }
+
+    /// Oracle points equal the per-step `evaluate_network` reference bit
+    /// for bit, under every layout and option set; hits + misses count
+    /// every lowered layer, and misses equal the reference path's.
+    #[test]
+    fn oracle_points_match_the_per_layer_path_bit_for_bit(
+        seed in 0usize..1000,
+        capacity in 1usize..=6,
+    ) {
+        let model = tiny_model();
+        for (layout, shared) in oracle_layouts() {
+            let schedule = oracle_schedule(seed, capacity, shared);
+            let lowered: Vec<Network> = schedule
+                .steps()
+                .iter()
+                .map(|s| model.lower_serving_step_with(s, &layout))
+                .collect();
+            let layers: u64 = lowered.iter().map(|n| n.layers().len() as u64).sum();
+            for options in oracle_options() {
+                let session = toy_session();
+                let eval = serving_trace_with(&session, &model, &schedule, &layout, &options)
+                    .expect("trace evaluates");
+                let reference = toy_session();
+                let expected = reference_bits(&reference, lowered.iter().cloned(), &options);
+                let got: Vec<[u64; 5]> = eval.points.iter().map(point_bits).collect();
+                prop_assert_eq!(got, expected);
+                let stats = session.cache_stats();
+                prop_assert_eq!(stats.hits + stats.misses, layers);
+                prop_assert_eq!(stats.misses, reference.cache_stats().misses);
+            }
+        }
+    }
+
+    /// The closed loop keys on the bucketed composition: `serving_sweep`
+    /// matches the per-step reference too.
+    #[test]
+    fn closed_loop_oracle_matches_the_per_layer_path(
+        seed in 0usize..1000,
+        capacity in 1usize..=6,
+    ) {
+        let model = tiny_model();
+        let mix = RequestMix::bimodal(seed as u64, 10, (16, 3), (96, 7), 30);
+        let schedule = BatchSchedule::build(&mix, capacity);
+        for options in oracle_options() {
+            let session = toy_session();
+            let eval = serving_sweep(&session, &model, &schedule, 32, &options)
+                .expect("sweep evaluates");
+            let reference = toy_session();
+            let nets = schedule.steps().iter().map(|s| model.lower_step(&s.kv_lens(), 32));
+            let expected = reference_bits(&reference, nets, &options);
+            let got: Vec<[u64; 5]> = eval.points.iter().map(point_bits).collect();
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(session.cache_stats().misses, reference.cache_stats().misses);
+        }
+    }
+}
+
+/// A pre-flight session lints each memo-miss step and still matches the
+/// reference; an uncached session — the `--no-cache` path — evaluates
+/// every layer to the same bits and reports no lookups.
+#[test]
+fn preflight_and_uncached_sessions_give_identical_points() {
+    let model = tiny_model();
+    let options = NetworkOptions::baseline();
+    for (layout, shared) in oracle_layouts() {
+        let schedule = oracle_schedule(7, 4, shared);
+        let cached = serving_trace_with(&toy_session(), &model, &schedule, &layout, &options)
+            .expect("trace evaluates");
+        let expected: Vec<[u64; 5]> = cached.points.iter().map(point_bits).collect();
+
+        let linted = toy_session().with_preflight();
+        let eval = serving_trace_with(&linted, &model, &schedule, &layout, &options)
+            .expect("a sound system passes pre-flight");
+        let got: Vec<[u64; 5]> = eval.points.iter().map(point_bits).collect();
+        assert_eq!(got, expected);
+
+        let uncached = toy_session().without_cache();
+        let eval = serving_trace_with(&uncached, &model, &schedule, &layout, &options)
+            .expect("trace evaluates");
+        let got: Vec<[u64; 5]> = eval.points.iter().map(point_bits).collect();
+        assert_eq!(got, expected);
+        assert_eq!(uncached.cache_stats(), CacheStats::default());
+    }
+}
+
+/// Copy-on-write is part of the key. On one slot with 12-token chunks
+/// over 8-token pages, the prefix owner's second chunk (cached 12) and
+/// each sharer's first chunk (cached 10, 2 copied tokens) pad to the
+/// same attend length with the same chunk: only the copy tells them
+/// apart, and the oracle must not serve one for the other.
+#[test]
+fn copy_on_write_separates_otherwise_equal_steps() {
+    let model = tiny_model();
+    let mix = RequestMix::custom("cow", vec![Request::new(96, 2); 3]).with_shared_prefix(10);
+    let config = ServingConfig::new(1).with_prefill(PrefillMode::OnAdmission { chunk: Some(12) });
+    let schedule = ServingSchedule::build(&mix, &config);
+    let layout = KvLayout::Paged(PageTable::new(8).with_shared_prefix(10));
+    let first_chunks: Vec<_> = schedule
+        .steps()
+        .iter()
+        .filter(|s| {
+            s.prefill()
+                .iter()
+                .any(|p| p.shared > 0 && p.cached == p.shared)
+        })
+        .collect();
+    assert_eq!(first_chunks.len(), 2, "two sharers");
+    assert_equal_keys_lower_alike(&model, &schedule, &layout);
+
+    let options = NetworkOptions::baseline();
+    let eval = serving_trace_with(&toy_session(), &model, &schedule, &layout, &options)
+        .expect("trace evaluates");
+    let nets = schedule
+        .steps()
+        .iter()
+        .map(|s| model.lower_serving_step_with(s, &layout));
+    let got: Vec<[u64; 5]> = eval.points.iter().map(point_bits).collect();
+    assert_eq!(got, reference_bits(&toy_session(), nets, &options));
 }
