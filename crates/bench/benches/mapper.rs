@@ -30,7 +30,7 @@ use lumen_core::{EvalCache, EvalSession, MappingStrategy, NetworkOptions, System
 use lumen_mapper::search::{
     random_search, random_search_baseline, random_search_pruned, SearchConfig, SearchResult,
 };
-use lumen_mapper::{outer_read_traffic, LayerAnalysis};
+use lumen_mapper::{LayerAnalysis, Nest};
 use lumen_workload::{networks, Layer, Network};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -51,6 +51,15 @@ const SEARCH: SearchConfig = SearchConfig {
 /// outer-read lower bound can prune against.
 fn cost(analysis: &LayerAnalysis) -> f64 {
     analysis.level(0).total_accesses()
+}
+
+/// The outermost level's exact read traffic: a sound lower bound on
+/// [`cost`], read from the candidate's nest before its analysis.
+fn outer_reads(nest: &Nest<'_>) -> f64 {
+    nest.outer_read_traffic()
+        .filter(|(level, _, _)| *level == 0)
+        .map(|(_, _, reads)| reads)
+        .sum()
 }
 
 /// Best-of-`runs` wall time of `f`, in seconds.
@@ -82,14 +91,8 @@ fn search_contract(system: &System, layer: &Layer) -> (SearchResult, SearchResul
     let arch = system.arch();
     let baseline = random_search_baseline(arch, layer, SEARCH, cost).expect("baseline search maps");
     let deduped = random_search(arch, layer, SEARCH, cost).expect("deduped search maps");
-    let lb = |m: &lumen_mapper::Mapping| {
-        outer_read_traffic(arch, layer, m)
-            .iter()
-            .filter(|(level, _, _)| *level == 0)
-            .map(|(_, _, reads)| reads)
-            .sum()
-    };
-    let pruned = random_search_pruned(arch, layer, SEARCH, lb, cost).expect("pruned search maps");
+    let pruned =
+        random_search_pruned(arch, layer, SEARCH, outer_reads, cost).expect("pruned search maps");
     for (name, result) in [("dedup", &deduped), ("prune", &pruned)] {
         assert_eq!(
             baseline.mapping,
@@ -295,19 +298,12 @@ fn bench_mapper(c: &mut Criterion) {
         });
     });
     group.bench_function("random_search_400_pruned", |b| {
-        let lb = |m: &lumen_mapper::Mapping| {
-            outer_read_traffic(system.arch(), &layer, m)
-                .iter()
-                .filter(|(level, _, _)| *level == 0)
-                .map(|(_, _, reads)| reads)
-                .sum()
-        };
         b.iter(|| {
             black_box(random_search_pruned(
                 system.arch(),
                 black_box(&layer),
                 SEARCH,
-                lb,
+                outer_reads,
                 cost,
             ))
         });

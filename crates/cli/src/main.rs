@@ -20,6 +20,10 @@
 //! lumen check                # static pre-flight lint of the whole matrix
 //! ```
 
+// Command output goes through `out!`/`outln!`, which end the run quietly
+// on a closed pipe; `print!`/`println!` would panic there.
+#![warn(clippy::print_stdout)]
+
 use lumen_albireo::{compare_with_digital, experiments, AlbireoConfig, ScalingProfile};
 use lumen_components::NoiseBudget;
 use lumen_components::{
@@ -30,7 +34,49 @@ use lumen_core::report::{network_table, network_table_deduped, Table};
 use lumen_core::{EvalSession, NetworkOptions};
 use lumen_units::{Frequency, Power};
 use lumen_workload::networks;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// `print!` for command output: see [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for command output: see [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes command output to stdout. A reader that closes the pipe early
+/// (`lumen all | head -1`) ends the run quietly with success; any other
+/// write failure ends it with an error message.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        flush_cache();
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Saves the persistent cache configured by --cache-dir /
+/// LUMEN_CACHE_DIR. It lives in a process-wide static whose Drop never
+/// runs, so every exit path flushes it here, letting this run's
+/// evaluations warm-start the next process.
+fn flush_cache() {
+    if let Err(e) = lumen_core::flush_persistent_cache() {
+        eprintln!("warning: failed to save the persistent eval cache: {e}");
+    }
+}
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -71,12 +117,7 @@ fn main() -> ExitCode {
         }
         other => Err(format!("unknown command `{other}` (try `lumen help`)")),
     };
-    // The persistent cache configured by --cache-dir / LUMEN_CACHE_DIR
-    // lives in a process-wide static whose Drop never runs; flush it
-    // here so this run's evaluations warm-start the next process.
-    if let Err(e) = lumen_core::flush_persistent_cache() {
-        eprintln!("warning: failed to save the persistent eval cache: {e}");
-    }
+    flush_cache();
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -134,50 +175,48 @@ fn apply_global_flags(args: &[String]) -> Result<Vec<String>, String> {
 }
 
 fn print_help() {
-    println!("lumen — architecture-level modeling of photonic DNN accelerators");
-    println!();
-    println!("USAGE: lumen <COMMAND> [OPTIONS]");
-    println!();
-    println!("COMMANDS:");
-    println!("  fig2        Fig. 2: best-case energy-breakdown validation");
-    println!("  fig3        Fig. 3: throughput for VGG16 and AlexNet");
-    println!("  fig4        Fig. 4: full-system memory exploration (batching, fusion)");
-    println!("  fig5        Fig. 5: analog/optical reuse exploration");
-    println!("  all         run all four figures");
-    println!("  arch        print the Albireo hierarchy  [--scaling <corner>]");
-    println!("  layers      per-layer utilization report [--network <name>] [--scaling <corner>]");
-    println!("  networks    list the built-in DNN workloads (CNNs + transformers)");
-    println!("  transformers  photonic vs digital on transformer workloads [--scaling <corner>]");
-    println!("  decode      GPT-2 small autoregressive decode vs KV length [--scaling <corner>]");
-    println!("  serving     continuous batching of mixed-length traffic [--scaling <corner>]");
-    println!("              [--arrival closed-loop|poisson[:rate]|bursty|diurnal]");
-    println!("              [--policy fifo|shortest-prompt|slo]   (open-loop SLO study)");
-    println!("              [--kv-page N [--shared-prefix L]]     (paged KV residency study)");
-    println!("  fleet       fleet-scale capacity planning [--scaling <corner>]");
-    println!(
+    outln!("lumen — architecture-level modeling of photonic DNN accelerators");
+    outln!();
+    outln!("USAGE: lumen <COMMAND> [OPTIONS]");
+    outln!();
+    outln!("COMMANDS:");
+    outln!("  fig2        Fig. 2: best-case energy-breakdown validation");
+    outln!("  fig3        Fig. 3: throughput for VGG16 and AlexNet");
+    outln!("  fig4        Fig. 4: full-system memory exploration (batching, fusion)");
+    outln!("  fig5        Fig. 5: analog/optical reuse exploration");
+    outln!("  all         run all four figures");
+    outln!("  arch        print the Albireo hierarchy  [--scaling <corner>]");
+    outln!("  layers      per-layer utilization report [--network <name>] [--scaling <corner>]");
+    outln!("  networks    list the built-in DNN workloads (CNNs + transformers)");
+    outln!("  transformers  photonic vs digital on transformer workloads [--scaling <corner>]");
+    outln!("  decode      GPT-2 small autoregressive decode vs KV length [--scaling <corner>]");
+    outln!("  serving     continuous batching of mixed-length traffic [--scaling <corner>]");
+    outln!("              [--arrival closed-loop|poisson[:rate]|bursty|diurnal]");
+    outln!("              [--policy fifo|shortest-prompt|slo]   (open-loop SLO study)");
+    outln!("              [--kv-page N [--shared-prefix L]]     (paged KV residency study)");
+    outln!("  fleet       fleet-scale capacity planning [--scaling <corner>]");
+    outln!(
         "              [--instances N] [--router round-robin|join-shortest-queue|least-loaded-kv]"
     );
-    println!("              [--arrival closed-loop|poisson[:rate]|bursty|diurnal]");
-    println!("              [--slo p99-ttft:MS]  (search the smallest fleet meeting the SLO)");
-    println!("  components  print the component library report");
-    println!("  cache       inspect the persistent eval cache [--clear] (needs --cache-dir)");
-    println!("  check       static pre-flight lint of architectures x workloads x strategies");
-    println!("              [--arch albireo|digital] [--network <name>] [--scaling <corner>]");
-    println!(
-        "              [--format text|json] [--deny warnings] [--allow <code>] [--deny <code>]"
-    );
-    println!("  baseline    photonic vs digital-electronic comparison [--scaling <corner>]");
-    println!("  precision   noise-limited analog resolution vs received optical power");
-    println!("  help        show this message");
-    println!();
-    println!("GLOBAL OPTIONS:");
-    println!("  --threads N   force the evaluation worker count (default: machine parallelism)");
-    println!("  --no-cache    disable the content-addressed evaluation cache (A/B debugging)");
-    println!("  --cache-dir D persist the eval cache to a snapshot in D (warm-start reruns)");
-    println!();
-    println!("Corners: conservative | moderate | aggressive");
-    println!("Networks: {}", networks::NAMES.join(" | "));
-    println!("`layers` also takes --dedup to collapse identical layers into one xN row");
+    outln!("              [--arrival closed-loop|poisson[:rate]|bursty|diurnal]");
+    outln!("              [--slo p99-ttft:MS]  (search the smallest fleet meeting the SLO)");
+    outln!("  components  print the component library report");
+    outln!("  cache       inspect the persistent eval cache [--clear] (needs --cache-dir)");
+    outln!("  check       static pre-flight lint of architectures x workloads x strategies");
+    outln!("              [--arch albireo|digital] [--network <name>] [--scaling <corner>]");
+    outln!("              [--format text|json] [--deny warnings] [--allow <code>] [--deny <code>]");
+    outln!("  baseline    photonic vs digital-electronic comparison [--scaling <corner>]");
+    outln!("  precision   noise-limited analog resolution vs received optical power");
+    outln!("  help        show this message");
+    outln!();
+    outln!("GLOBAL OPTIONS:");
+    outln!("  --threads N   force the evaluation worker count (default: machine parallelism)");
+    outln!("  --no-cache    disable the content-addressed evaluation cache (A/B debugging)");
+    outln!("  --cache-dir D persist the eval cache to a snapshot in D (warm-start reruns)");
+    outln!();
+    outln!("Corners: conservative | moderate | aggressive");
+    outln!("Networks: {}", networks::NAMES.join(" | "));
+    outln!("`layers` also takes --dedup to collapse identical layers into one xN row");
 }
 
 fn option_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -199,25 +238,25 @@ fn parse_scaling(args: &[String]) -> Result<ScalingProfile, String> {
 
 fn fig2() -> Result<(), String> {
     let result = experiments::fig2_energy_breakdown().map_err(|e| e.to_string())?;
-    println!("{result}");
+    outln!("{result}");
     Ok(())
 }
 
 fn fig3() -> Result<(), String> {
     let result = experiments::fig3_throughput().map_err(|e| e.to_string())?;
-    println!("{result}");
+    outln!("{result}");
     Ok(())
 }
 
 fn fig4() -> Result<(), String> {
     let result = experiments::fig4_memory_exploration().map_err(|e| e.to_string())?;
-    println!("{result}");
+    outln!("{result}");
     Ok(())
 }
 
 fn fig5() -> Result<(), String> {
     let result = experiments::fig5_reuse_exploration().map_err(|e| e.to_string())?;
-    println!("{result}");
+    outln!("{result}");
     Ok(())
 }
 
@@ -225,9 +264,9 @@ fn arch(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
     let config = AlbireoConfig::new(scaling);
     let arch = config.build_arch();
-    println!("{arch}");
-    println!("total area: {}", arch.total_area());
-    println!(
+    outln!("{arch}");
+    outln!("total area: {}", arch.total_area());
+    outln!(
         "link budget: launch {} / wall {}",
         config.link_budget().required_launch_power(),
         config.link_budget().required_wall_power()
@@ -248,16 +287,16 @@ fn layers(args: &[String]) -> Result<(), String> {
     let eval = session
         .evaluate_network(&net, &NetworkOptions::baseline())
         .map_err(|e| e.to_string())?;
-    println!("{name} on albireo-{scaling}:");
+    outln!("{name} on albireo-{scaling}:");
     // Opt-in deduplicated rendering: one row per unique layer with an
     // xN multiplicity column (12 identical encoder blocks -> x12).
     if args.iter().any(|a| a == "--dedup") {
-        print!("{}", network_table_deduped(&eval).render());
+        out!("{}", network_table_deduped(&eval).render());
     } else {
-        print!("{}", network_table(&eval).render());
+        out!("{}", network_table(&eval).render());
     }
     let peak = session.system().arch().peak_parallelism();
-    println!(
+    outln!(
         "throughput {:.0} MACs/cycle ({:.1}% of the {} peak)",
         eval.throughput_macs_per_cycle(),
         100.0 * eval.throughput_macs_per_cycle() / peak as f64,
@@ -265,7 +304,7 @@ fn layers(args: &[String]) -> Result<(), String> {
     );
     let stats = session.cache_stats();
     if stats.hits > 0 {
-        println!(
+        outln!(
             "eval cache: {} unique layer evaluations, {} served from cache ({:.0}% hit rate)",
             stats.misses,
             stats.hits,
@@ -305,21 +344,21 @@ fn networks_cmd() -> Result<(), String> {
             format!("{:.0}%", 100.0 * net.gemm_mac_fraction()),
         ]);
     }
-    print!("{}", table.render());
+    out!("{}", table.render());
     Ok(())
 }
 
 fn transformers_cmd(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
     let result = experiments::transformer_study(scaling).map_err(|e| e.to_string())?;
-    println!("{result}");
+    outln!("{result}");
     Ok(())
 }
 
 fn decode_cmd(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
     let result = experiments::decode_study(scaling).map_err(|e| e.to_string())?;
-    println!("{result}");
+    outln!("{result}");
     Ok(())
 }
 
@@ -351,7 +390,7 @@ fn preflight(
     }
     let report = LintRegistry::with_default_lints().run(&target);
     if !report.is_empty() {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     if report.is_clean() {
         Ok(())
@@ -370,7 +409,7 @@ fn serving_cmd(args: &[String]) -> Result<(), String> {
         ServingPlan::ClosedLoopStudy => {
             // Legacy closed-loop study: capacity sweep over the three mixes.
             let result = experiments::serving_study(scaling).map_err(|e| e.to_string())?;
-            println!("{result}");
+            outln!("{result}");
         }
         ServingPlan::Scenario(scenario) => {
             preflight(&scenario, None)?;
@@ -379,13 +418,13 @@ fn serving_cmd(args: &[String]) -> Result<(), String> {
                 &[(scenario.arrival().clone(), scenario.policy())],
             )
             .map_err(|e| e.to_string())?;
-            println!("{result}");
+            outln!("{result}");
         }
         ServingPlan::Paged(scenario) => {
             preflight(&scenario, None)?;
             let result = experiments::paged_serving_scenario_study(scaling, &scenario)
                 .map_err(|e| e.to_string())?;
-            println!("{result}");
+            outln!("{result}");
         }
     }
     Ok(())
@@ -405,7 +444,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
         Some(slo) => {
             let result = experiments::fleet_slo_search(scaling, slo, plan.router, plan.arrival)
                 .map_err(|e| e.to_string())?;
-            println!("{result}");
+            outln!("{result}");
         }
         None => {
             let result = experiments::capacity_plan_study(
@@ -415,7 +454,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
                 plan.arrival,
             )
             .map_err(|e| e.to_string())?;
-            println!("{result}");
+            outln!("{result}");
         }
     }
     Ok(())
@@ -440,9 +479,9 @@ fn components_cmd() -> Result<(), String> {
     catalog.insert("photodiode", Photodiode::new());
     catalog.insert("star-coupler-1x8", StarCoupler::new(8));
     catalog.insert("waveguide-10mm", Waveguide::new(10.0));
-    print!("{catalog}");
+    out!("{catalog}");
     let sc = StarCoupler::new(8);
-    println!(
+    outln!(
         "star-coupler-1x8 optical loss: {} ({} splitting + {} excess)",
         sc.total_loss(),
         sc.splitting_loss(),
@@ -462,25 +501,25 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--clear") {
         return match lumen_core::clear_cache_dir(&dir).map_err(|e| e.to_string())? {
             true => {
-                println!("cleared persistent eval cache in {}", dir.display());
+                outln!("cleared persistent eval cache in {}", dir.display());
                 Ok(())
             }
             false => {
-                println!("no persistent eval cache in {}", dir.display());
+                outln!("no persistent eval cache in {}", dir.display());
                 Ok(())
             }
         };
     }
     let Some(info) = lumen_core::inspect_cache_dir(&dir) else {
-        println!(
+        outln!(
             "no persistent eval cache in {} (missing or invalid snapshot)",
             dir.display()
         );
         return Ok(());
     };
-    println!("persistent eval cache: {}", info.path.display());
-    println!("  entries: {}", info.entries);
-    println!("  size:    {} bytes", info.bytes);
+    outln!("persistent eval cache: {}", info.path.display());
+    outln!("  entries: {}", info.entries);
+    outln!("  size:    {} bytes", info.bytes);
     if !info.per_system.is_empty() {
         let mut table = Table::new(vec![
             "arch fingerprint".into(),
@@ -494,7 +533,7 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
                 count.to_string(),
             ]);
         }
-        print!("{}", table.render());
+        out!("{}", table.render());
     }
     Ok(())
 }
@@ -579,10 +618,10 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
     }
 
     if format == "json" {
-        print!("{}", report.render_json());
+        out!("{}", report.render_json());
     } else {
-        print!("{}", report.render_text());
-        println!(
+        out!("{}", report.render_text());
+        outln!(
             "checked {} network(s) x {} system(s)",
             nets.len(),
             systems.len()
@@ -614,8 +653,8 @@ fn baseline(args: &[String]) -> Result<(), String> {
             format!("{:.2}x", row.throughput_advantage()),
         ]);
     }
-    println!("photonic (Albireo) vs digital baseline, full system incl. DRAM:");
-    print!("{}", table.render());
+    outln!("photonic (Albireo) vs digital baseline, full system incl. DRAM:");
+    out!("{}", table.render());
     Ok(())
 }
 
@@ -634,14 +673,14 @@ fn precision(_args: &[String]) -> Result<(), String> {
             format!("{:.2}", budget.achievable_bits(p)),
         ]);
     }
-    println!(
+    outln!(
         "direct-detection precision budget at 5 GS/s (1 A/W, NEP 2 pW/\u{221a}Hz, RIN -150 dB/Hz):"
     );
-    print!("{}", table.render());
+    out!("{}", table.render());
     for bits in [4.0, 6.0, 8.0] {
         match budget.required_power(bits) {
-            Some(p) => println!("{bits:.0}-bit detection needs >= {p}"),
-            None => println!("{bits:.0}-bit detection is RIN-limited (unreachable)"),
+            Some(p) => outln!("{bits:.0}-bit detection needs >= {p}"),
+            None => outln!("{bits:.0}-bit detection is RIN-limited (unreachable)"),
         }
     }
     Ok(())

@@ -4,11 +4,12 @@ use crate::{CostCategory, EnergyBreakdown};
 use lumen_arch::Architecture;
 use lumen_mapper::search::{
     greedy_mapping, random_search, random_search_pruned, spatial_priority_for, SearchConfig,
-    TemporalPlan,
+    SearchResult, TemporalPlan,
 };
-use lumen_mapper::{analyze, outer_read_traffic, LayerAnalysis, Mapping, MappingError};
-use lumen_units::Energy;
-use lumen_workload::{Dim, Layer, TensorKind};
+use lumen_mapper::{analyze, LayerAnalysis, Mapping, MappingError, Nest};
+use lumen_units::{Energy, Power, Time};
+use lumen_workload::{Dim, Layer, TensorKind, TensorMap};
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -296,29 +297,44 @@ impl System {
                 greedy_mapping(&self.arch, layer, priority, plan)
             }
             MappingStrategy::RandomSearch(cfg) => {
-                let arch = &self.arch;
-                let cost = |analysis: &LayerAnalysis| {
-                    energy_from_analysis(arch, analysis, &Reroute::default())
-                        .total()
-                        .picojoules()
-                };
-                // Prune with a mapping-only energy lower bound when the
-                // architecture admits one; the winner is bit-identical to
-                // the plain search either way.
-                let result = match energy_lower_bound(arch, layer) {
-                    Some(lb) => random_search_pruned(arch, layer, *cfg, lb, cost),
-                    None => random_search(arch, layer, *cfg, cost),
-                }
-                .ok_or_else(|| SystemError::NoMapping {
-                    layer: layer.name().to_string(),
-                    cause: None,
-                })?;
-                return Ok(result.mapping);
+                return self.search_layer(layer, *cfg).map(|result| result.mapping);
             }
             MappingStrategy::Custom(f) => f(&self.arch, layer),
             MappingStrategy::CustomKeyed { mapper, .. } => mapper(&self.arch, layer),
         };
         Ok(mapping)
+    }
+
+    /// Runs the seeded random mapping search behind
+    /// [`MappingStrategy::RandomSearch`] for `layer`, minimizing total
+    /// energy ([`EnergyObjective`]), whatever this system's own strategy.
+    /// Returns the whole [`SearchResult`]: the winner, its analysis, its
+    /// energy in pJ, and the search's bookkeeping.
+    ///
+    /// # Errors
+    ///
+    /// [`SystemError::NoMapping`] if no candidate is legal.
+    pub fn search_layer(
+        &self,
+        layer: &Layer,
+        config: SearchConfig,
+    ) -> Result<SearchResult, SystemError> {
+        let arch = &self.arch;
+        let objective = EnergyObjective::new(arch);
+        let cost = |analysis: &LayerAnalysis| objective.picojoules(analysis);
+        // Prune with the nest-only energy lower bound when the
+        // architecture admits one; the winner is bit-identical to the
+        // plain search either way.
+        if objective.bound_is_sound {
+            let lower_bound = |nest: &Nest<'_>| objective.lower_bound(nest);
+            random_search_pruned(arch, layer, config, lower_bound, cost)
+        } else {
+            random_search(arch, layer, config, cost)
+        }
+        .ok_or_else(|| SystemError::NoMapping {
+            layer: layer.name().to_string(),
+            cause: None,
+        })
     }
 
     /// Maps and evaluates one layer.
@@ -429,56 +445,6 @@ fn add_kv_append_energy(arch: &Architecture, layer: &Layer, breakdown: &mut Ener
     );
 }
 
-/// A mapping-only lower bound on the random-search cost objective
-/// (`energy_from_analysis(..).total().picojoules()` with no reroute),
-/// used by [`System::map_layer`] to skip candidates that cannot beat the
-/// incumbent before paying for the full nest analysis.
-///
-/// The bound sums exactly the terms of the true objective that are
-/// computable from the [`Mapping`] alone — compute (padded MACs),
-/// per-cycle, static, and the outermost-keeper read traffic of the read
-/// tensors ([`outer_read_traffic`], bit-identical to the analyzer's
-/// entries) — and omits the rest. Omission is only conservative when
-/// every omitted term is non-negative, so architectures with a negative
-/// storage or conversion energy (nonsensical, but representable) get
-/// `None` and the caller falls back to the unpruned search.
-fn energy_lower_bound<'a>(
-    arch: &'a Architecture,
-    layer: &'a Layer,
-) -> Option<impl Fn(&Mapping) -> f64 + 'a> {
-    let omitted_terms_nonnegative = arch.levels().iter().all(|l| {
-        (!l.kind().is_storage() || (l.read_energy().raw() >= 0.0 && l.write_energy().raw() >= 0.0))
-            && (!l.kind().is_converter() || l.convert_energy().raw() >= 0.0)
-    });
-    if !omitted_terms_nonnegative {
-        return None;
-    }
-    let groups = layer.groups() as u64;
-    let peak = arch.peak_parallelism() as f64;
-    Some(move |m: &Mapping| {
-        // Mirrors the corresponding expressions of `Nest::run` and
-        // `energy_from_analysis` term by term.
-        let cycles = m.total_temporal_product() * groups;
-        let padded_volume: u64 = Dim::ALL.iter().map(|&d| m.total_bound(d)).product();
-        let padded_macs = padded_volume * groups;
-        let spatial_utilization = m.total_spatial_product() as f64 / peak;
-        let mut total = arch.mac_energy() * padded_macs as f64;
-        for cost in arch.per_cycle_costs() {
-            let factor = if cost.gateable {
-                spatial_utilization
-            } else {
-                1.0
-            };
-            total += cost.energy_per_cycle * (cycles as f64) * factor;
-        }
-        total += arch.total_static_power() * (arch.clock().period() * cycles as f64);
-        for (level, _tensor, reads) in outer_read_traffic(arch, layer, m) {
-            total += arch.levels()[level].read_energy() * reads;
-        }
-        total.picojoules()
-    })
-}
-
 /// Converts a nest analysis into an itemized energy breakdown under the
 /// architecture's per-level energetics.
 pub(crate) fn energy_from_analysis(
@@ -562,6 +528,224 @@ pub(crate) fn energy_from_analysis(
     breakdown.add("static", CostCategory::Static, None, static_energy);
 
     breakdown
+}
+
+/// How [`energy_from_analysis`] charges one architecture level, with
+/// the slot its items merge into per tensor.
+#[derive(Debug, Clone, Copy)]
+enum LevelCharge {
+    Storage {
+        slots: TensorMap<usize>,
+        read: Energy,
+        write: Energy,
+    },
+    Converter {
+        slots: TensorMap<usize>,
+        convert: Energy,
+    },
+    Compute,
+}
+
+/// Per-slot accumulators of one [`EnergyObjective::picojoules`] call.
+#[derive(Debug, Default)]
+struct SlotSums {
+    energy: Vec<Energy>,
+    inserted: Vec<bool>,
+    /// Slots in the order their first non-zero item arrived.
+    order: Vec<usize>,
+}
+
+/// The random search's objective, total energy in picojoules, as a
+/// scalar: bit-identical to
+/// `energy_from_analysis(arch, analysis, no reroute).total().picojoules()`
+/// without building the itemized breakdown ([`Self::breakdown`]).
+///
+/// [`EnergyBreakdown::add`] skips zero items, merges items with the same
+/// *(label, category, tensor)* and sums in insertion order. The objective
+/// interns those keys into slots once, as borrowed labels, and replays
+/// the same additions per call, so every rounding step matches.
+/// Construction also gathers what the search's pruning bound reads: the
+/// static power, clock period and per-level energies.
+#[derive(Debug)]
+pub struct EnergyObjective<'a> {
+    arch: &'a Architecture,
+    levels: Vec<LevelCharge>,
+    compute_slot: usize,
+    /// `(slot, energy per cycle, gateable)` per per-cycle cost.
+    per_cycle: Vec<(usize, Energy, bool)>,
+    static_slot: usize,
+    mac_energy: Energy,
+    static_power: Power,
+    period: Time,
+    /// Every term the lower bound omits is non-negative, so the bound
+    /// never exceeds the objective. An architecture with a negative
+    /// storage or conversion energy (nonsensical, but representable) is
+    /// searched unpruned.
+    bound_is_sound: bool,
+    sums: RefCell<SlotSums>,
+}
+
+impl<'a> EnergyObjective<'a> {
+    /// The objective on `arch`.
+    pub fn new(arch: &'a Architecture) -> EnergyObjective<'a> {
+        let mut keys: Vec<(&'a str, CostCategory, Option<TensorKind>)> = Vec::new();
+        let mut slot = |label: &'a str, category: CostCategory, tensor: Option<TensorKind>| {
+            let key = (label, category, tensor);
+            keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                keys.len() - 1
+            })
+        };
+        let levels = arch
+            .levels()
+            .iter()
+            .map(|level| {
+                let name = level.name();
+                if level.kind().is_storage() {
+                    LevelCharge::Storage {
+                        slots: TensorMap::from_fn(|t| slot(name, CostCategory::Storage, Some(t))),
+                        read: level.read_energy(),
+                        write: level.write_energy(),
+                    }
+                } else if level.kind().is_converter() {
+                    LevelCharge::Converter {
+                        slots: TensorMap::from_fn(|t| {
+                            slot(name, CostCategory::Conversion, Some(t))
+                        }),
+                        convert: level.convert_energy(),
+                    }
+                } else {
+                    LevelCharge::Compute
+                }
+            })
+            .collect();
+        let compute_slot = slot(arch.compute_level().name(), CostCategory::Compute, None);
+        let per_cycle = arch
+            .per_cycle_costs()
+            .iter()
+            .map(|cost| {
+                let s = slot(&cost.name, CostCategory::PerCycle, None);
+                (s, cost.energy_per_cycle, cost.gateable)
+            })
+            .collect();
+        let static_slot = slot("static", CostCategory::Static, None);
+        let bound_is_sound = arch.levels().iter().all(|l| {
+            (!l.kind().is_storage()
+                || (l.read_energy().raw() >= 0.0 && l.write_energy().raw() >= 0.0))
+                && (!l.kind().is_converter() || l.convert_energy().raw() >= 0.0)
+        });
+        let slots = keys.len();
+        EnergyObjective {
+            arch,
+            levels,
+            compute_slot,
+            per_cycle,
+            static_slot,
+            mac_energy: arch.mac_energy(),
+            static_power: arch.total_static_power(),
+            period: arch.clock().period(),
+            bound_is_sound,
+            sums: RefCell::new(SlotSums {
+                energy: vec![Energy::ZERO; slots],
+                inserted: vec![false; slots],
+                order: Vec::with_capacity(slots),
+            }),
+        }
+    }
+
+    /// Total energy of `analysis` in picojoules.
+    pub fn picojoules(&self, analysis: &LayerAnalysis) -> f64 {
+        let mut sums = self.sums.borrow_mut();
+        let SlotSums {
+            energy,
+            inserted,
+            order,
+        } = &mut *sums;
+        inserted.fill(false);
+        order.clear();
+        // `EnergyBreakdown::add`, on slots.
+        let mut add = |slot: usize, e: Energy| {
+            if e == Energy::ZERO {
+                return;
+            }
+            if inserted[slot] {
+                energy[slot] += e;
+            } else {
+                inserted[slot] = true;
+                energy[slot] = e;
+                order.push(slot);
+            }
+        };
+        for (x, charge) in self.levels.iter().enumerate() {
+            let traffic = analysis.level(x);
+            match *charge {
+                LevelCharge::Storage { slots, read, write } => {
+                    for t in TensorKind::ALL {
+                        add(slots[t], read * traffic.reads[t]);
+                        add(slots[t], write * traffic.writes[t]);
+                    }
+                }
+                LevelCharge::Converter { slots, convert } => {
+                    for t in TensorKind::ALL {
+                        add(slots[t], convert * traffic.conversions[t]);
+                    }
+                }
+                LevelCharge::Compute => {}
+            }
+        }
+        add(
+            self.compute_slot,
+            self.mac_energy * analysis.padded_macs as f64,
+        );
+        for &(slot, per_cycle, gateable) in &self.per_cycle {
+            let factor = if gateable {
+                analysis.spatial_utilization
+            } else {
+                1.0
+            };
+            add(slot, per_cycle * (analysis.cycles as f64) * factor);
+        }
+        add(
+            self.static_slot,
+            self.static_power * (self.period * analysis.cycles as f64),
+        );
+        let total: Energy = order.iter().map(|&slot| energy[slot]).sum();
+        total.picojoules()
+    }
+
+    /// The itemized breakdown whose total [`Self::picojoules`] reproduces.
+    pub fn breakdown(&self, analysis: &LayerAnalysis) -> EnergyBreakdown {
+        energy_from_analysis(self.arch, analysis, &Reroute::default())
+    }
+
+    /// A lower bound on [`Self::picojoules`] of the candidate's analysis,
+    /// from its [`Nest`] alone.
+    ///
+    /// It sums exactly the objective's terms the nest determines —
+    /// compute (padded MACs), per-cycle, static, and the outermost-keeper
+    /// read traffic of the read tensors ([`Nest::outer_read_traffic`],
+    /// bit-identical to the analysis entries) — and omits the rest.
+    /// Omission is only conservative when every omitted term is
+    /// non-negative: see `bound_is_sound`.
+    fn lower_bound(&self, nest: &Nest<'_>) -> f64 {
+        // Mirrors the corresponding expressions of the analysis and
+        // `picojoules` term by term.
+        let cycles = nest.cycles();
+        let mut total = self.mac_energy * nest.padded_macs() as f64;
+        for &(_, per_cycle, gateable) in &self.per_cycle {
+            let factor = if gateable {
+                nest.spatial_utilization()
+            } else {
+                1.0
+            };
+            total += per_cycle * (cycles as f64) * factor;
+        }
+        total += self.static_power * (self.period * cycles as f64);
+        for (level, _tensor, reads) in nest.outer_read_traffic() {
+            total += self.arch.levels()[level].read_energy() * reads;
+        }
+        total.picojoules()
+    }
 }
 
 #[cfg(test)]

@@ -78,7 +78,8 @@ pub use cache::{
 pub use decode::{decode_sweep, DecodePoint};
 pub use energy::{CostCategory, EnergyBreakdown, EnergyItem};
 pub use evaluator::{
-    strategy_facts, LayerEvaluation, MappingFn, MappingStrategy, System, SystemError,
+    strategy_facts, EnergyObjective, LayerEvaluation, MappingFn, MappingStrategy, System,
+    SystemError,
 };
 pub use fleet::{fleet_trace, scenario_trace, FleetEvaluation, FleetInstance, FleetInstanceTrace};
 pub use network::{FusionConfig, NetworkEvaluation, NetworkOptions};

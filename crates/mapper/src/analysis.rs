@@ -109,118 +109,74 @@ pub fn analyze(
     layer: &Layer,
     mapping: &Mapping,
 ) -> Result<LayerAnalysis, MappingError> {
-    mapping.validate(arch, layer)?;
-    let nest = Nest::new(arch, layer, mapping);
-    nest.check_capacity()?;
+    mapping.validate_structure(arch, layer)?;
+    let plan = NestPlan::new(arch, layer);
+    let nest = Nest::new(&plan, mapping);
+    nest.check()?;
     Ok(nest.run())
 }
 
-/// The exact read traffic [`analyze`] will charge at the **outermost
-/// keeper** of each read tensor (weights and inputs), computed without
-/// the full nest walk.
-///
-/// Returns `(level index, tensor, reads)` triples — each value is
-/// bit-identical to the corresponding `reads` entry of the full
-/// [`LayerAnalysis`], so the triples are a sound (and usually dominant,
-/// since the outermost level is the most expensive per access) *lower
-/// bound* on a candidate mapping's traffic cost. Search engines use this
-/// to prune candidates before paying for [`analyze`]; see
-/// [`crate::search::random_search_pruned`].
-///
-/// The mapping is **not** validated: an illegal candidate yields a
-/// number that would never be charged, which is harmless for pruning
-/// (the candidate is discarded either way). The mapping must still have
-/// one [`crate::LevelLoops`] per architecture level.
-pub fn outer_read_traffic(
-    arch: &Architecture,
-    layer: &Layer,
-    mapping: &Mapping,
-) -> Vec<(usize, TensorKind, f64)> {
-    let nest = Nest::new(arch, layer, mapping);
-    let g = nest.groups as f64;
-    let mut out = Vec::with_capacity(2);
-    for t in [TensorKind::Weight, TensorKind::Input] {
-        let chain = &nest.keepers[t];
-        if let Some(&k) = chain.first() {
-            let inner = chain.get(1).copied().unwrap_or(nest.num_levels - 1);
-            // Mirrors the read-tensor pass of `Nest::run` exactly.
-            let reads = nest.fills_total(t, inner) / nest.share_gap(t, k, inner) * g;
-            out.push((k, t, reads));
-        }
-    }
-    out
-}
-
-/// Precomputed nest state shared by the analysis passes.
-struct Nest<'a> {
+/// The facts every nest of one *(architecture, layer)* pair shares:
+/// computed once per search instead of once per candidate.
+pub(crate) struct NestPlan<'a> {
     arch: &'a Architecture,
     layer: &'a Layer,
-    mapping: &'a Mapping,
     num_levels: usize,
-    /// Spatial bound product per level.
-    s_prod: Vec<u64>,
-    /// Extents of all loops strictly below level `x`'s temporal loops,
-    /// including `x`'s spatial loops.
-    below_incl: Vec<DimMap<u64>>,
-    /// Extents of all loops at levels `> x` (excluding `x`'s spatial).
-    below_excl: Vec<DimMap<u64>>,
-    /// Utilized instance count of each level (spatial products above it).
-    util_inst: Vec<u64>,
     /// Per-tensor keeper level indices (storage only, outer→inner).
     keepers: TensorMap<Vec<usize>>,
+    /// Each converter level with, per tensor it keeps, the level whose
+    /// fills cross it: the next keeper inward, or compute.
+    converters: Vec<(usize, Vec<(TensorKind, usize)>)>,
+    /// Levels with a bounded capacity, with that capacity in bits.
+    bounded: Vec<(usize, u64)>,
+    peak: f64,
     groups: u64,
 }
 
-impl<'a> Nest<'a> {
-    fn new(arch: &'a Architecture, layer: &'a Layer, mapping: &'a Mapping) -> Nest<'a> {
-        let num_levels = arch.levels().len();
-        let s_prod: Vec<u64> = (0..num_levels)
-            .map(|x| mapping.level(x).spatial_product())
-            .collect();
-
-        // Suffix extents.
-        let mut below_excl = vec![DimMap::filled(1u64); num_levels];
-        let mut below_incl = vec![DimMap::filled(1u64); num_levels];
-        let mut acc = DimMap::filled(1u64);
-        for x in (0..num_levels).rev() {
-            below_excl[x] = acc;
-            let mut incl = acc;
-            for l in &mapping.level(x).spatial {
-                incl[l.dim] *= l.bound as u64;
-            }
-            below_incl[x] = incl;
-            // Everything at level x (temporal + spatial) joins the suffix
-            // for the level above.
-            acc = incl;
-            for l in &mapping.level(x).temporal {
-                acc[l.dim] *= l.bound as u64;
-            }
-        }
-
-        let mut util_inst = vec![1u64; num_levels];
-        for x in 1..num_levels {
-            util_inst[x] = util_inst[x - 1] * s_prod[x - 1];
-        }
-
+impl<'a> NestPlan<'a> {
+    pub(crate) fn new(arch: &'a Architecture, layer: &'a Layer) -> NestPlan<'a> {
+        let levels = arch.levels();
+        let num_levels = levels.len();
         let keepers = TensorMap::from_fn(|t| {
-            arch.levels()
+            levels
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| l.kind().is_storage() && l.keep().contains(t))
                 .map(|(i, _)| i)
                 .collect::<Vec<usize>>()
         });
-
-        Nest {
+        let converters = arch
+            .converter_levels()
+            .into_iter()
+            .map(|c| {
+                let crossings = levels[c]
+                    .keep()
+                    .iter()
+                    .map(|t| {
+                        let inner = keepers[t]
+                            .iter()
+                            .copied()
+                            .find(|&k| k > c)
+                            .unwrap_or(num_levels - 1);
+                        (t, inner)
+                    })
+                    .collect();
+                (c, crossings)
+            })
+            .collect();
+        let bounded = levels
+            .iter()
+            .enumerate()
+            .filter_map(|(x, l)| l.capacity_bits().map(|bits| (x, bits)))
+            .collect();
+        NestPlan {
             arch,
             layer,
-            mapping,
             num_levels,
-            s_prod,
-            below_incl,
-            below_excl,
-            util_inst,
             keepers,
+            converters,
+            bounded,
+            peak: arch.peak_parallelism() as f64,
             groups: layer.groups() as u64,
         }
     }
@@ -243,107 +199,191 @@ impl<'a> Nest<'a> {
             }
         }
     }
+}
 
-    /// Tile stored at level `x` (covers its spatial fan-out and below).
-    fn tile_stored(&self, t: TensorKind, x: usize) -> u64 {
-        self.footprint(t, &self.below_incl[x])
-    }
+/// Per-level tables of one nest.
+#[derive(Debug, Clone, Copy)]
+struct NestLevel {
+    /// Spatial bound product of the level.
+    s_prod: u64,
+    /// Utilized instance count (spatial products above the level).
+    util_inst: u64,
+    /// Tile stored at the level: the footprint of every loop below its
+    /// temporal loops, its own spatial fan-out included.
+    tile: TensorMap<u64>,
+    /// Footprint-based sharing factor at the level's fan-out: how many
+    /// child deliveries one parent-side element serves (≥ 1).
+    sharing: TensorMap<f64>,
+    /// Temporal refetch multiplicity of the tile: the temporal loops of
+    /// levels `0..=x`, walked innermost to outermost, multiply if
+    /// relevant, or if irrelevant with a relevant loop inside.
+    mult_visit: TensorMap<u64>,
+    /// Product of the output-relevant temporal bounds at levels `0..=x`:
+    /// the number of distinct output tiles traversed.
+    distinct_outputs: u64,
+}
 
-    /// Footprint-based sharing factor of tensor `t` at level `x`'s fan-out:
-    /// how many child deliveries one parent-side element serves (≥ 1).
-    fn sharing(&self, t: TensorKind, x: usize) -> f64 {
-        if self.s_prod[x] <= 1 {
-            return 1.0;
-        }
-        let child = self.footprint(t, &self.below_excl[x]) as f64;
-        let union = self.footprint(t, &self.below_incl[x]) as f64;
-        (self.s_prod[x] as f64 * child / union).max(1.0)
-    }
+/// One candidate mapping's loop nest, with every quantity the analysis
+/// passes read tabulated once.
+///
+/// Search engines build one `Nest` per candidate and hand it to the
+/// caller's pruning bound (see
+/// [`crate::search::random_search_pruned`]) before the full analysis
+/// runs from the same tables.
+pub struct Nest<'p> {
+    plan: &'p NestPlan<'p>,
+    levels: Vec<NestLevel>,
+    /// Padded extent of every dimension (all loops, all levels).
+    total: DimMap<u64>,
+    temporal_product: u64,
+    spatial_product: u64,
+}
 
-    /// Product of sharing factors over fan-outs in `[from, to)`.
-    fn share_gap(&self, t: TensorKind, from: usize, to: usize) -> f64 {
-        (from..to).map(|x| self.sharing(t, x)).product()
-    }
+impl<'p> Nest<'p> {
+    /// Tabulates `mapping`'s nest. The mapping is not validated, but it
+    /// must have one [`crate::LevelLoops`] per architecture level.
+    pub(crate) fn new(plan: &'p NestPlan<'p>, mapping: &Mapping) -> Nest<'p> {
+        let num_levels = plan.num_levels;
+        let mut levels = vec![
+            NestLevel {
+                s_prod: 1,
+                util_inst: 1,
+                tile: TensorMap::filled(0),
+                sharing: TensorMap::filled(1.0),
+                mult_visit: TensorMap::filled(1),
+                distinct_outputs: 1,
+            };
+            num_levels
+        ];
 
-    /// Temporal refetch multiplicity for the tile stored at level `x`:
-    /// walk the temporal loops of levels `0..=x` from innermost to
-    /// outermost; a loop multiplies if relevant, or if irrelevant with a
-    /// relevant loop inside.
-    fn mult_visit(&self, t: TensorKind, x: usize) -> u64 {
-        let relevant = t.relevant_dims();
-        let mut mult: u64 = 1;
-        let mut seen_relevant = false;
-        for level in (0..=x).rev() {
-            for l in self.mapping.level(level).temporal.iter().rev() {
-                if relevant.contains(l.dim) {
-                    mult *= l.bound as u64;
-                    seen_relevant = true;
-                } else if seen_relevant {
-                    mult *= l.bound as u64;
+        // Inner→outer: suffix extents give the tiles and sharing factors.
+        // `acc` holds the extents of every loop at levels > x.
+        let mut acc = DimMap::filled(1u64);
+        let mut temporal_product = 1u64;
+        for x in (0..num_levels).rev() {
+            let loops = mapping.level(x);
+            let row = &mut levels[x];
+            let mut incl = acc;
+            for l in &loops.spatial {
+                incl[l.dim] *= l.bound as u64;
+                row.s_prod *= l.bound as u64;
+            }
+            for t in TensorKind::ALL {
+                row.tile[t] = plan.footprint(t, &incl);
+                if row.s_prod > 1 {
+                    let child = plan.footprint(t, &acc) as f64;
+                    let union = row.tile[t] as f64;
+                    row.sharing[t] = (row.s_prod as f64 * child / union).max(1.0);
                 }
             }
-        }
-        mult
-    }
-
-    /// Product of bounds of temporal loops relevant to `t` at levels
-    /// `0..=x` — the number of distinct tiles traversed.
-    fn mult_distinct(&self, t: TensorKind, x: usize) -> u64 {
-        let relevant = t.relevant_dims();
-        (0..=x)
-            .flat_map(|level| self.mapping.level(level).temporal.iter())
-            .filter(|l| relevant.contains(l.dim))
-            .map(|l| l.bound as u64)
-            .product()
-    }
-
-    /// Padded iteration volume of one channel group.
-    fn padded_volume(&self) -> u64 {
-        Dim::ALL
-            .iter()
-            .map(|&d| self.mapping.total_bound(d))
-            .product()
-    }
-
-    /// Total elements filled into level `x` for read-tensor `t` over the
-    /// whole (single-group) execution; `x == num_levels` means compute.
-    fn fills_total(&self, t: TensorKind, x: usize) -> f64 {
-        if x >= self.num_levels - 1 {
-            return self.padded_volume() as f64;
-        }
-        let tile = self.tile_stored(t, x) as f64;
-        tile * self.mult_visit(t, x) as f64 * self.util_inst[x] as f64
-    }
-
-    /// Partial-sum flushes leaving level `x` upward (single group).
-    fn writes_up_total(&self, x: usize) -> f64 {
-        if x >= self.num_levels - 1 {
-            return self.padded_volume() as f64;
-        }
-        let tile = self.tile_stored(TensorKind::Output, x) as f64;
-        tile * self.mult_visit(TensorKind::Output, x) as f64 * self.util_inst[x] as f64
-    }
-
-    /// Partial-sum read-backs entering level `x` from above (single group).
-    fn reads_down_total(&self, x: usize) -> f64 {
-        if x >= self.num_levels - 1 {
-            return 0.0;
-        }
-        let tile = self.tile_stored(TensorKind::Output, x) as f64;
-        let visits = self.mult_visit(TensorKind::Output, x) as f64;
-        let distinct = self.mult_distinct(TensorKind::Output, x) as f64;
-        (tile * (visits - distinct) * self.util_inst[x] as f64).max(0.0)
-    }
-
-    fn check_capacity(&self) -> Result<(), MappingError> {
-        for (x, level) in self.arch.levels().iter().enumerate() {
-            let Some(capacity) = level.capacity_bits() else {
-                continue;
-            };
-            let mut required: u64 = 0;
-            for t in level.keep().iter() {
-                required += self.tile_stored(t, x) * self.arch.word_bits_of(t) as u64;
+            // Everything at level x (temporal + spatial) joins the suffix
+            // for the level above.
+            acc = incl;
+            for l in &loops.temporal {
+                acc[l.dim] *= l.bound as u64;
+                temporal_product *= l.bound as u64;
             }
+        }
+
+        // Outer→inner: instance counts and revisit multiplicities. A
+        // tile's refetch multiplicity is the product of every temporal
+        // loop outside (and including) the innermost relevant one.
+        let mut util_inst = 1u64;
+        let mut spatial_product = 1u64;
+        let mut all = 1u64;
+        let mut visit = TensorMap::filled(1u64);
+        let mut distinct_outputs = 1u64;
+        let output_dims = TensorKind::Output.relevant_dims();
+        for (x, row) in levels.iter_mut().enumerate() {
+            for l in &mapping.level(x).temporal {
+                all *= l.bound as u64;
+                for t in TensorKind::ALL {
+                    if t.relevant_dims().contains(l.dim) {
+                        visit[t] = all;
+                    }
+                }
+                if output_dims.contains(l.dim) {
+                    distinct_outputs *= l.bound as u64;
+                }
+            }
+            row.util_inst = util_inst;
+            row.mult_visit = visit;
+            row.distinct_outputs = distinct_outputs;
+            util_inst *= row.s_prod;
+            spatial_product *= row.s_prod;
+        }
+
+        Nest {
+            plan,
+            levels,
+            total: acc,
+            temporal_product,
+            spatial_product,
+        }
+    }
+
+    /// Steady-state cycles, all channel groups: [`LayerAnalysis::cycles`].
+    pub fn cycles(&self) -> u64 {
+        self.temporal_product * self.plan.groups
+    }
+
+    /// Hardware-iterated MACs, padding included:
+    /// [`LayerAnalysis::padded_macs`].
+    pub fn padded_macs(&self) -> u64 {
+        self.padded_volume() * self.plan.groups
+    }
+
+    /// Fraction of hardware lanes the spatial loops use:
+    /// [`LayerAnalysis::spatial_utilization`].
+    pub fn spatial_utilization(&self) -> f64 {
+        self.spatial_product as f64 / self.plan.peak
+    }
+
+    /// The exact read traffic the full analysis charges at the
+    /// **outermost keeper** of each read tensor (weights and inputs).
+    ///
+    /// Yields `(level index, tensor, reads)` triples, each bit-identical to
+    /// the corresponding `reads` entry of the [`LayerAnalysis`] — a sound
+    /// (and usually dominant, since the outermost level is the most
+    /// expensive per access) *lower bound* on the candidate's traffic
+    /// cost.
+    pub fn outer_read_traffic(&self) -> impl Iterator<Item = (usize, TensorKind, f64)> + '_ {
+        [TensorKind::Weight, TensorKind::Input]
+            .into_iter()
+            .filter_map(move |t| {
+                let chain = &self.plan.keepers[t];
+                let &k = chain.first()?;
+                let inner = chain.get(1).copied().unwrap_or(self.plan.num_levels - 1);
+                // Mirrors the read-tensor pass of `run` exactly.
+                let reads = self.fills_total(t, inner) / self.share_gap(t, k, inner)
+                    * self.plan.groups as f64;
+                Some((k, t, reads))
+            })
+    }
+
+    /// The legality checks the loop structure leaves open: every
+    /// dimension covered (as in [`Mapping::validate`]) and every bounded
+    /// level's kept tiles within its capacity.
+    pub(crate) fn check(&self) -> Result<(), MappingError> {
+        let shape = self.plan.layer.shape();
+        for d in Dim::ALL {
+            let (mapped, needed) = (self.total[d], shape[d] as u64);
+            if mapped < needed {
+                return Err(MappingError::Uncovered {
+                    dim: d,
+                    mapped,
+                    needed,
+                });
+            }
+        }
+        let arch = self.plan.arch;
+        for &(x, capacity) in &self.plan.bounded {
+            let level = &arch.levels()[x];
+            let required: u64 = level
+                .keep()
+                .iter()
+                .map(|t| self.levels[x].tile[t] * arch.word_bits_of(t) as u64)
+                .sum();
             if required > capacity {
                 return Err(MappingError::CapacityExceeded {
                     level: level.name().to_string(),
@@ -355,24 +395,68 @@ impl<'a> Nest<'a> {
         Ok(())
     }
 
-    fn run(&self) -> LayerAnalysis {
-        let g = self.groups as f64;
-        let mut levels = vec![LevelTraffic::default(); self.num_levels];
+    /// Padded iteration volume of one channel group.
+    fn padded_volume(&self) -> u64 {
+        Dim::ALL.iter().map(|&d| self.total[d]).product()
+    }
+
+    /// Product of sharing factors over fan-outs in `[from, to)`.
+    fn share_gap(&self, t: TensorKind, from: usize, to: usize) -> f64 {
+        self.levels[from..to]
+            .iter()
+            .map(|row| row.sharing[t])
+            .product()
+    }
+
+    /// Total elements filled into level `x` for read-tensor `t` over the
+    /// whole (single-group) execution; the compute level counts every
+    /// padded MAC.
+    fn fills_total(&self, t: TensorKind, x: usize) -> f64 {
+        if x >= self.plan.num_levels - 1 {
+            return self.padded_volume() as f64;
+        }
+        let row = &self.levels[x];
+        row.tile[t] as f64 * row.mult_visit[t] as f64 * row.util_inst as f64
+    }
+
+    /// Partial-sum flushes leaving level `x` upward (single group).
+    fn writes_up_total(&self, x: usize) -> f64 {
+        self.fills_total(TensorKind::Output, x)
+    }
+
+    /// Partial-sum read-backs entering level `x` from above (single group).
+    fn reads_down_total(&self, x: usize) -> f64 {
+        if x >= self.plan.num_levels - 1 {
+            return 0.0;
+        }
+        let row = &self.levels[x];
+        let tile = row.tile[TensorKind::Output] as f64;
+        let visits = row.mult_visit[TensorKind::Output] as f64;
+        let distinct = row.distinct_outputs as f64;
+        (tile * (visits - distinct) * row.util_inst as f64).max(0.0)
+    }
+
+    /// The full analysis of a legal nest.
+    pub(crate) fn run(&self) -> LayerAnalysis {
+        let plan = self.plan;
+        let g = plan.groups as f64;
+        let last = plan.num_levels - 1;
+        let mut levels = vec![LevelTraffic::default(); plan.num_levels];
 
         // Record stored tiles.
-        for (x, level) in self.arch.levels().iter().enumerate() {
+        for (x, level) in plan.arch.levels().iter().enumerate() {
             if level.kind().is_storage() {
                 for t in level.keep().iter() {
-                    levels[x].tile_elements[t] = self.tile_stored(t, x);
+                    levels[x].tile_elements[t] = self.levels[x].tile[t];
                 }
             }
         }
 
         // Read-only tensors: chain keepers outer→inner, ending at compute.
         for t in [TensorKind::Weight, TensorKind::Input] {
-            let chain = &self.keepers[t];
+            let chain = &plan.keepers[t];
             for (pos, &k) in chain.iter().enumerate() {
-                let inner = chain.get(pos + 1).copied().unwrap_or(self.num_levels - 1);
+                let inner = chain.get(pos + 1).copied().unwrap_or(last);
                 let inner_fills = self.fills_total(t, inner);
                 // Serve the inner keeper (or compute), discounting the
                 // multicast of every fan-out in the gap.
@@ -390,9 +474,9 @@ impl<'a> Nest<'a> {
         // sharing; revisits flow back down.
         {
             let t = TensorKind::Output;
-            let chain = &self.keepers[t];
+            let chain = &plan.keepers[t];
             for (pos, &k) in chain.iter().enumerate() {
-                let inner = chain.get(pos + 1).copied().unwrap_or(self.num_levels - 1);
+                let inner = chain.get(pos + 1).copied().unwrap_or(last);
                 let red = self.share_gap(t, k, inner);
                 // Arrivals from below (updates) and re-serves downward.
                 levels[k].writes[t] += self.writes_up_total(inner) / red * g;
@@ -408,39 +492,32 @@ impl<'a> Nest<'a> {
 
         // Converters: charge every kept-tensor element crossing their
         // position, after downstream fan-out sharing.
-        for c in self.arch.converter_levels() {
-            let keep = self.arch.levels()[c].keep();
-            for t in keep.iter() {
-                let inner = self.keepers[t]
-                    .iter()
-                    .copied()
-                    .find(|&k| k > c)
-                    .unwrap_or(self.num_levels - 1);
-                let gap = self.share_gap(t, c, inner);
-                let crossings = match t {
+        for (c, crossings) in &plan.converters {
+            for &(t, inner) in crossings {
+                let gap = self.share_gap(t, *c, inner);
+                let crossed = match t {
                     TensorKind::Weight | TensorKind::Input => self.fills_total(t, inner) / gap,
                     TensorKind::Output => {
                         (self.writes_up_total(inner) + self.reads_down_total(inner)) / gap
                     }
                 };
-                levels[c].conversions[t] += crossings * g;
+                levels[*c].conversions[t] += crossed * g;
             }
         }
 
-        let cycles = self.mapping.total_temporal_product() * self.groups;
-        let macs = self.layer.macs();
-        let padded_macs = self.padded_volume() * self.groups;
-        let peak = self.arch.peak_parallelism() as f64;
+        let cycles = self.cycles();
+        let macs = plan.layer.macs();
         let throughput = macs as f64 / cycles as f64;
+        let padded: f64 = Dim::ALL.iter().map(|&d| self.total[d] as f64).product();
 
         LayerAnalysis {
             cycles,
             macs,
-            padded_macs,
+            padded_macs: self.padded_macs(),
             throughput_macs_per_cycle: throughput,
-            utilization: throughput / peak,
-            spatial_utilization: self.mapping.total_spatial_product() as f64 / peak,
-            padding_factor: self.mapping.padding_factor(self.layer),
+            utilization: throughput / plan.peak,
+            spatial_utilization: self.spatial_utilization(),
+            padding_factor: padded / plan.layer.shape().volume() as f64,
             levels,
         }
     }

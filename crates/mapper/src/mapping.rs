@@ -172,13 +172,35 @@ impl Mapping {
     /// * [`MappingError::Uncovered`] — a dimension whose mapped product is
     ///   below the layer bound.
     pub fn validate(&self, arch: &Architecture, layer: &Layer) -> Result<(), MappingError> {
+        self.validate_structure(arch, layer)?;
+        for d in Dim::ALL {
+            let mapped = self.total_bound(d);
+            let needed = layer.shape()[d] as u64;
+            if mapped < needed {
+                return Err(MappingError::Uncovered {
+                    dim: d,
+                    mapped,
+                    needed,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Every check of [`Mapping::validate`] except coverage: the ones
+    /// that adding temporal loops at non-converter levels cannot change.
+    pub(crate) fn validate_structure(
+        &self,
+        arch: &Architecture,
+        layer: &Layer,
+    ) -> Result<(), MappingError> {
         if self.levels.len() != arch.levels().len() {
             return Err(MappingError::LevelCountMismatch {
                 mapping: self.levels.len(),
                 arch: arch.levels().len(),
             });
         }
-        for (i, (loops, level)) in self.levels.iter().zip(arch.levels()).enumerate() {
+        for (loops, level) in self.levels.iter().zip(arch.levels()) {
             if !loops.temporal.is_empty() && level.kind().is_converter() {
                 return Err(MappingError::TemporalAtConverter {
                     level: level.name().to_string(),
@@ -201,20 +223,16 @@ impl Mapping {
                     });
                 }
             }
-            let _ = i;
-        }
-        for d in Dim::ALL {
-            let mapped = self.total_bound(d);
-            let needed = layer.shape()[d] as u64;
-            if mapped < needed {
-                return Err(MappingError::Uncovered {
-                    dim: d,
-                    mapped,
-                    needed,
-                });
-            }
         }
         Ok(())
+    }
+
+    /// Drops every temporal loop, keeping the spatial ones (and each
+    /// level's allocation) for the next candidate built on them.
+    pub(crate) fn clear_temporal(&mut self) {
+        for level in &mut self.levels {
+            level.temporal.clear();
+        }
     }
 
     /// Padding waste: padded iteration volume over the true volume (≥ 1).

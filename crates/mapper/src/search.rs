@@ -11,12 +11,14 @@
 //! * [`exhaustive_search`] — enumerates per-dimension temporal homes for
 //!   small problems; ground truth for tests.
 
-use crate::{analyze, LayerAnalysis, Mapping};
+use crate::analysis::NestPlan;
+use crate::{analyze, LayerAnalysis, Mapping, Nest};
 use lumen_arch::Architecture;
-use lumen_workload::{Dim, DimMap, Layer, LayerKind, LayerSignature};
+use lumen_workload::{Dim, DimMap, Layer, LayerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default spatial packing priority: parallelize output channels and
 /// spatial window dims first (they are the broadcast-friendly dims in
@@ -211,57 +213,6 @@ impl SearchResult {
     }
 }
 
-/// Memoizes [`greedy_spatial`] bases across the layers of one search
-/// batch on **one architecture**.
-///
-/// The greedy spatial packing is a pure function of the architecture and
-/// the layer's [`LayerSignature`] (shape, kind, stride, dilation, groups
-/// — everything `usable_dims` and the packing walk read), so repeated
-/// searches over same-shaped layers can share the base instead of
-/// re-walking the hierarchy. A memo must not be reused across
-/// architectures: the signature key deliberately excludes the arch, which
-/// is fixed per batch.
-#[derive(Debug, Default)]
-pub struct SpatialBaseMemo {
-    entries: HashMap<LayerSignature, (Mapping, DimMap<usize>)>,
-    hits: usize,
-}
-
-impl SpatialBaseMemo {
-    /// An empty memo.
-    pub fn new() -> SpatialBaseMemo {
-        SpatialBaseMemo::default()
-    }
-
-    /// The greedy spatial base for `layer` on `arch`, computed on first
-    /// use and replayed from the memo afterwards.
-    pub fn base(&mut self, arch: &Architecture, layer: &Layer) -> (Mapping, DimMap<usize>) {
-        let key = layer.signature();
-        if let Some(cached) = self.entries.get(&key) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        let built = greedy_spatial(arch, layer, spatial_priority_for(layer));
-        self.entries.insert(key, built.clone());
-        built
-    }
-
-    /// Number of memo replays served so far.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of distinct layer signatures memoized.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// Seeded random mapping search.
 ///
 /// Spatial packing is fixed (greedy); temporal factorizations and level
@@ -276,17 +227,16 @@ pub fn random_search(
     config: SearchConfig,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let base = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    search_core(arch, layer, config, base, None, true, cost)
+    search_core(arch, layer, config, None, true, cost)
 }
 
 /// [`random_search`] with a caller-supplied **lower bound** on the cost
-/// of a candidate, computable from the [`Mapping`] alone (before the full
-/// nest analysis). Candidates whose bound already meets or exceeds the
-/// incumbent's cost are skipped without an `analyze` call.
+/// of a candidate, computed from its tabulated [`Nest`] before the full
+/// analysis runs. Candidates whose bound already meets or exceeds the
+/// incumbent's cost are skipped without an analysis.
 ///
-/// The bound must satisfy `lower_bound(m) ≤ cost(analyze(m))` for every
-/// legal mapping `m` (a small relative safety margin is applied
+/// The bound must satisfy `lower_bound(nest) ≤ cost(analysis)` for every
+/// legal candidate (a small relative safety margin is applied
 /// internally to absorb floating-point summation-order noise). Under that
 /// contract the winning mapping and cost are bit-identical to the
 /// unpruned search: acceptance is strict (`<`), so a candidate at or
@@ -295,25 +245,10 @@ pub fn random_search_pruned(
     arch: &Architecture,
     layer: &Layer,
     config: SearchConfig,
-    lower_bound: impl Fn(&Mapping) -> f64,
+    lower_bound: impl Fn(&Nest<'_>) -> f64,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let base = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    search_core(arch, layer, config, base, Some(&lower_bound), true, cost)
-}
-
-/// [`random_search`] with the greedy spatial base served from a
-/// [`SpatialBaseMemo`], for batches of searches over repeating layer
-/// shapes on one architecture.
-pub fn random_search_with_memo(
-    arch: &Architecture,
-    layer: &Layer,
-    config: SearchConfig,
-    memo: &mut SpatialBaseMemo,
-    cost: impl FnMut(&LayerAnalysis) -> f64,
-) -> Option<SearchResult> {
-    let base = memo.base(arch, layer);
-    search_core(arch, layer, config, base, None, true, cost)
+    search_core(arch, layer, config, Some(&lower_bound), true, cost)
 }
 
 /// Reference implementation without deduplication or pruning: every
@@ -327,8 +262,7 @@ pub fn random_search_baseline(
     config: SearchConfig,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let base = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    search_core(arch, layer, config, base, None, false, cost)
+    search_core(arch, layer, config, None, false, cost)
 }
 
 /// Relative safety margin applied to lower bounds before pruning: shrinks
@@ -341,34 +275,46 @@ const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 /// iteration happens before the dedup/prune decision — so skipping a
 /// candidate leaves the stream, and therefore every later candidate,
 /// untouched.
+///
+/// Per-candidate work is only what changes between candidates: the
+/// [`NestPlan`] is built once per search, the generation buffers are
+/// reused, and each candidate gets one [`Nest`] that both the bound and
+/// the analysis read.
 fn search_core(
     arch: &Architecture,
     layer: &Layer,
     config: SearchConfig,
-    base: (Mapping, DimMap<usize>),
-    lower_bound: Option<&dyn Fn(&Mapping) -> f64>,
+    lower_bound: Option<&dyn Fn(&Nest<'_>) -> f64>,
     dedup: bool,
     mut cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let (base, leftover) = base;
-    let storage_levels: Vec<usize> = arch
-        .levels()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.kind().is_converter())
-        .map(|(i, _)| i)
-        .collect();
+    let (base, leftover) = greedy_spatial(arch, layer, spatial_priority_for(layer));
+    // Candidates differ from the base only by temporal loops at mapping
+    // levels, so the structural checks have one answer for the whole
+    // search; each candidate's nest checks the rest.
+    if base.validate_structure(arch, layer).is_err() {
+        return None;
+    }
+    let storage_levels = arch.mapping_levels();
+    let plan = NestPlan::new(arch, layer);
 
-    let mut seen: HashSet<Mapping> = HashSet::new();
+    let mut candidate = base;
+    let mut per_level_loops: Vec<Vec<(Dim, usize)>> = vec![Vec::new(); arch.levels().len()];
+    let mut divisors = Divisors::default();
+    // The spatial base is fixed, so the drawn temporal loops identify a
+    // candidate exactly: `(level, dim)` and bound words per loop.
+    let mut key: Vec<u64> = Vec::new();
+    let mut seen: HashSet<Box<[u64]>, BuildHasherDefault<WordHasher>> = HashSet::default();
     let mut best: Option<SearchResult> = None;
     let mut evaluated = 0usize;
     let mut deduped = 0usize;
     let mut pruned = 0usize;
     for _ in 0..config.iterations {
-        let mut candidate = base.clone();
         // Randomly split each leftover extent across storage levels.
-        let mut per_level_loops: Vec<Vec<(Dim, usize)>> = vec![Vec::new(); arch.levels().len()];
+        for loops in &mut per_level_loops {
+            loops.clear();
+        }
         for d in Dim::ALL {
             let mut remaining = leftover[d];
             if remaining <= 1 {
@@ -383,7 +329,7 @@ fn search_core(
                 let f = if i + 1 == chunks {
                     remaining
                 } else {
-                    random_factor(remaining, &mut rng)
+                    random_factor(remaining, &mut rng, &mut divisors)
                 };
                 if f > 1 {
                     let level = storage_levels[rng.gen_range(0..storage_levels.len())];
@@ -397,28 +343,36 @@ fn search_core(
             }
         }
         // Random order within each level.
+        candidate.clear_temporal();
+        key.clear();
         for (level, loops) in per_level_loops.iter_mut().enumerate() {
             shuffle(loops, &mut rng);
             for &(d, f) in loops.iter() {
                 candidate.push_temporal(level, d, f);
+                key.extend([(level * Dim::ALL.len() + d.index()) as u64, f as u64]);
             }
         }
         // All RNG draws for this iteration are complete: skipping from
         // here on cannot perturb later candidates.
-        if dedup && !seen.insert(candidate.clone()) {
-            deduped += 1;
-            continue;
+        if dedup {
+            if seen.contains(key.as_slice()) {
+                deduped += 1;
+                continue;
+            }
+            seen.insert(key.as_slice().into());
         }
-        let bound = lower_bound.map(|lb| lb(&candidate));
+        let nest = Nest::new(&plan, &candidate);
+        let bound = lower_bound.map(|lb| lb(&nest));
         if let (Some(bv), Some(b)) = (bound, best.as_ref()) {
             if bv * PRUNE_MARGIN >= b.cost {
                 pruned += 1;
                 continue;
             }
         }
-        let Ok(analysis) = analyze(arch, layer, &candidate) else {
+        if nest.check().is_err() {
             continue;
-        };
+        }
+        let analysis = nest.run();
         evaluated += 1;
         let c = cost(&analysis);
         if let Some(bv) = bound {
@@ -429,7 +383,7 @@ fn search_core(
         }
         if best.as_ref().is_none_or(|b| c < b.cost) {
             best = Some(SearchResult {
-                mapping: candidate,
+                mapping: candidate.clone(),
                 analysis,
                 cost: c,
                 evaluated: 0,
@@ -513,17 +467,72 @@ pub fn exhaustive_search(
     best
 }
 
+/// The divisors above 1 of the extents one search splits, ascending,
+/// each list computed on first use.
+#[derive(Default)]
+struct Divisors {
+    lists: Vec<(usize, Vec<usize>)>,
+}
+
+impl Divisors {
+    fn of(&mut self, v: usize) -> &[usize] {
+        let i = match self.lists.iter().position(|(w, _)| *w == v) {
+            Some(i) => i,
+            None => {
+                let list = (2..=v).filter(|f| v.is_multiple_of(*f)).collect();
+                self.lists.push((v, list));
+                self.lists.len() - 1
+            }
+        };
+        &self.lists[i].1
+    }
+}
+
 /// A random factor of `v` (uniform over divisors > 1, or a ceil-factor
 /// when `v` is prime-ish).
-fn random_factor(v: usize, rng: &mut StdRng) -> usize {
+fn random_factor(v: usize, rng: &mut StdRng, divisors: &mut Divisors) -> usize {
     if v <= 1 {
         return 1;
     }
-    let divisors: Vec<usize> = (2..=v).filter(|f| v.is_multiple_of(*f)).collect();
+    let divisors = divisors.of(v);
     if divisors.is_empty() {
         v
     } else {
         divisors[rng.gen_range(0..divisors.len())]
+    }
+}
+
+/// An FxHash-style hasher for the search's dedup keys: short word
+/// slices the search draws itself, so speed matters and flooding
+/// resistance does not.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -538,10 +547,10 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outer_read_traffic;
     use lumen_arch::{ArchBuilder, Domain, Fanout};
     use lumen_units::{Energy, Frequency};
     use lumen_workload::{DimSet, TensorSet};
+    use std::cell::{Cell, RefCell};
 
     fn arch() -> Architecture {
         ArchBuilder::new("t", Frequency::from_gigahertz(1.0))
@@ -751,9 +760,8 @@ mod tests {
             &a,
             &l,
             cfg,
-            |m: &Mapping| {
-                outer_read_traffic(&a, &l, m)
-                    .iter()
+            |n: &Nest<'_>| {
+                n.outer_read_traffic()
                     .filter(|(level, _, _)| *level == 0)
                     .map(|(_, _, reads)| reads)
                     .sum()
@@ -769,50 +777,46 @@ mod tests {
 
     #[test]
     fn outer_read_traffic_matches_full_analysis() {
-        // The fast bound must reproduce the analyzer's outer-keeper read
-        // entries bit-for-bit on legal mappings.
+        // The bound's outer-keeper reads must reproduce the analysis
+        // entries bit for bit on every analyzed candidate, not just the
+        // winner. A zero bound prunes nothing, and the search analyzes a
+        // candidate right after bounding it.
         let a = arch();
         let l = layer();
         let cfg = SearchConfig {
-            iterations: 50,
+            iterations: 200,
             seed: 13,
         };
-        let r =
-            random_search(&a, &l, cfg, |x: &LayerAnalysis| x.level(0).total_accesses()).unwrap();
-        let full = analyze(&a, &l, &r.mapping).unwrap();
-        for (level, tensor, reads) in outer_read_traffic(&a, &l, &r.mapping) {
-            assert_eq!(
-                reads.to_bits(),
-                full.level(level).reads[tensor].to_bits(),
-                "{tensor:?} at level {level}"
-            );
-        }
-    }
-
-    #[test]
-    fn spatial_base_memo_replays_identical_bases() {
-        let a = arch();
-        let mut memo = SpatialBaseMemo::new();
-        assert!(memo.is_empty());
-        let direct = greedy_spatial(&a, &layer(), spatial_priority_for(&layer()));
-        let first = memo.base(&a, &layer());
-        // Same shape, different name: replayed from the memo.
-        let twin = Layer::conv2d("renamed", 1, 16, 8, 8, 8, 3, 3);
-        let second = memo.base(&a, &twin);
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.len(), 1);
-        // And the memoized search agrees with the plain one.
-        let cfg = SearchConfig {
-            iterations: 60,
-            seed: 5,
-        };
-        let cost = |x: &LayerAnalysis| x.level(0).total_accesses();
-        let plain = random_search(&a, &layer(), cfg, cost).unwrap();
-        let memoized = random_search_with_memo(&a, &twin, cfg, &mut memo, cost).unwrap();
-        assert_eq!(plain.mapping, memoized.mapping);
-        assert_eq!(plain.cost.to_bits(), memoized.cost.to_bits());
+        let bounded = RefCell::new(Vec::new());
+        let checked = Cell::new(0usize);
+        let r = random_search_pruned(
+            &a,
+            &l,
+            cfg,
+            |n: &Nest<'_>| {
+                *bounded.borrow_mut() = n.outer_read_traffic().collect::<Vec<_>>();
+                0.0
+            },
+            |x: &LayerAnalysis| {
+                let reads = bounded.borrow();
+                assert_eq!(reads.len(), 2, "weights and inputs both have keepers");
+                for &(level, tensor, value) in reads.iter() {
+                    assert_eq!(
+                        value.to_bits(),
+                        x.level(level).reads[tensor].to_bits(),
+                        "{tensor:?} at level {level}"
+                    );
+                }
+                checked.set(checked.get() + 1);
+                x.level(0).total_accesses()
+            },
+        )
+        .unwrap();
+        assert_eq!(checked.get(), r.evaluated);
+        assert!(r.evaluated > 50, "only {} candidates analyzed", r.evaluated);
+        assert_eq!(r.pruned, 0);
+        // The search's own analysis of the winner is the public one.
+        assert_eq!(r.analysis, analyze(&a, &l, &r.mapping).unwrap());
     }
 
     #[test]
@@ -829,10 +833,30 @@ mod tests {
     #[test]
     fn random_factor_divides_or_returns_v() {
         let mut rng = StdRng::seed_from_u64(1);
+        let mut divisors = Divisors::default();
         for v in 2..40usize {
-            let f = random_factor(v, &mut rng);
+            let f = random_factor(v, &mut rng, &mut divisors);
             assert!(f == v || v % f == 0);
             assert!(f >= 2);
         }
+    }
+
+    #[test]
+    fn memoized_divisors_keep_every_draw() {
+        // One memo serves many extents in any order; each draw picks the
+        // same divisor as indexing a freshly listed set would.
+        let mut divisors = Divisors::default();
+        let mut memo_rng = StdRng::seed_from_u64(3);
+        let mut fresh_rng = StdRng::seed_from_u64(3);
+        for v in [12usize, 2, 360, 12, 97, 1024, 360, 49, 2] {
+            let listed: Vec<usize> = (2..=v).filter(|f| v % f == 0).collect();
+            let want = listed[fresh_rng.gen_range(0..listed.len())];
+            assert_eq!(
+                random_factor(v, &mut memo_rng, &mut divisors),
+                want,
+                "v = {v}"
+            );
+        }
+        assert_eq!(divisors.lists.len(), 6);
     }
 }
