@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Ratchet on panic!/unwrap() in library code.
+# Ratchet on panicking calls in library code.
 #
-# Counts `panic!(` and `.unwrap()` occurrences in non-test library
-# source (everything before the first `#[cfg(test)]` in each file under
+# Counts `panic!(`, `.unwrap()`, `.expect(` and `assert!(` /
+# `assert_eq!(` / `assert_ne!(` occurrences in non-test library source
+# (everything before the first `#[cfg(test)]` in each file under
 # crates/*/src and src/; shims/ and integration tests are out of
-# scope — test code may panic freely) and fails when either count rises
-# above the checked-in baseline. New fallible paths should return typed
-# errors (`ArchError`, `SystemError`, ...) instead.
+# scope — test code may panic freely) and fails when any count rises
+# above the checked-in baseline. `debug_assert*` is not counted:
+# internal invariants may stay as debug assertions. New fallible paths
+# should return typed errors (`ArchError`, `SystemError`, ...) instead.
 #
 # When a count legitimately drops, lower the baseline here so the
 # ratchet keeps holding the line.
@@ -15,6 +17,8 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
+EXPECT_BASELINE=66
+ASSERT_BASELINE=52
 
 count() {
   # Comment lines are excluded: doctest examples may unwrap().
@@ -29,10 +33,15 @@ count() {
 
 panics=$(count 'panic!\(')
 unwraps=$(count '\.unwrap\(\)')
+expects=$(count '\.expect\(')
+# A leading `_` or identifier character rules out `debug_assert*`.
+asserts=$(count '(^|[^_[:alnum:]])assert(_eq|_ne)?!\(')
 status=0
 
 echo "panic! in library code:   $panics (baseline $PANIC_BASELINE)"
 echo ".unwrap() in library code: $unwraps (baseline $UNWRAP_BASELINE)"
+echo ".expect( in library code:  $expects (baseline $EXPECT_BASELINE)"
+echo "assert! in library code:   $asserts (baseline $ASSERT_BASELINE)"
 
 if [ "$panics" -gt "$PANIC_BASELINE" ]; then
   echo "error: new panic!() in library code; return a typed error instead" >&2
@@ -42,7 +51,16 @@ if [ "$unwraps" -gt "$UNWRAP_BASELINE" ]; then
   echo "error: new .unwrap() in library code; propagate the error instead" >&2
   status=1
 fi
-if [ "$panics" -lt "$PANIC_BASELINE" ] || [ "$unwraps" -lt "$UNWRAP_BASELINE" ]; then
+if [ "$expects" -gt "$EXPECT_BASELINE" ]; then
+  echo "error: new .expect() in library code; propagate the error instead" >&2
+  status=1
+fi
+if [ "$asserts" -gt "$ASSERT_BASELINE" ]; then
+  echo "error: new assert!() in library code; return a typed error or use debug_assert!" >&2
+  status=1
+fi
+if [ "$panics" -lt "$PANIC_BASELINE" ] || [ "$unwraps" -lt "$UNWRAP_BASELINE" ] ||
+  [ "$expects" -lt "$EXPECT_BASELINE" ] || [ "$asserts" -lt "$ASSERT_BASELINE" ]; then
   echo "note: counts dropped below baseline; tighten ci/panic_gate.sh"
 fi
 exit "$status"

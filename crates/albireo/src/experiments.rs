@@ -1163,8 +1163,8 @@ impl fmt::Display for ServingStudyResult {
 /// is only available when the scheduler can keep slots occupied.
 pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, SystemError> {
     use crate::DigitalBaseline;
-    use lumen_core::serving::serving_sweep;
-    use lumen_workload::{BatchSchedule, ServingModel, ServingScenario};
+    use lumen_core::scenario_trace;
+    use lumen_workload::{PrefillMode, ServingModel, ServingScenario};
 
     let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
     let digital = EvalSession::new(DigitalBaseline::new().build_system());
@@ -1179,16 +1179,16 @@ pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, Syst
         for capacity in SERVING_CAPACITIES {
             let scenario = ServingScenario::builder(mix.clone(), capacity)
                 .kv_bucket(SERVING_KV_BUCKET)
+                .prefill(PrefillMode::Resident)
                 .build()
                 .expect("the closed-loop study's fixed parameters are valid");
-            let schedule = BatchSchedule::build(scenario.mix(), scenario.capacity());
-            let p = serving_sweep(&photonic, &model, &schedule, scenario.kv_bucket(), &options)?;
-            let d = serving_sweep(&digital, &model, &schedule, scenario.kv_bucket(), &options)?;
+            let p = scenario_trace(&photonic, &model, &scenario, &options)?;
+            let d = scenario_trace(&digital, &model, &scenario, &options)?;
             rows.push(ServingRow {
                 mix: scenario.mix().name().to_string(),
                 capacity,
                 requests: scenario.mix().len(),
-                steps: schedule.total_steps(),
+                steps: p.points.len(),
                 mean_occupancy: p.mean_occupancy(),
                 vs: PhotonicVsDigital {
                     photonic_pj_per_mac: p.pj_per_mac(),

@@ -84,7 +84,6 @@ pub use evaluator::{
 pub use fleet::{fleet_trace, scenario_trace, FleetEvaluation, FleetInstance, FleetInstanceTrace};
 pub use network::{FusionConfig, NetworkEvaluation, NetworkOptions};
 pub use serving::{
-    serving_sweep, serving_trace, serving_trace_with, Percentiles, RequestLatency,
-    ServingEvaluation, ServingStepPoint,
+    serving_trace_with, Percentiles, RequestLatency, ServingEvaluation, ServingStepPoint,
 };
 pub use sweep::SweepRunner;

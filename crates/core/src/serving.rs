@@ -1,25 +1,25 @@
 //! Serving-trace evaluation: driving a continuous-batching schedule
 //! through an [`EvalSession`].
 //!
-//! [`serving_sweep`] evaluates every step of a closed-loop
-//! [`BatchSchedule`](lumen_workload::BatchSchedule) — each step lowered
-//! to bucketed decode layers by a
-//! [`ServingModel`](lumen_workload::ServingModel) — against one session,
-//! and reduces the trace to per-step and aggregate serving metrics:
-//! generated tokens per second, energy per token, slot occupancy and
-//! MAC-weighted compute utilization. [`serving_trace`] does the same
-//! for an event-driven
-//! [`ServingSchedule`](lumen_workload::ServingSchedule), where prefill
-//! chunks are lowered (and charged) alongside the decode groups, and
-//! additionally folds the evaluated step durations into per-request
-//! [`RequestLatency`] records — time-to-first-token and
-//! time-between-tokens percentiles in real time at the system clock.
+//! [`serving_trace_with`] evaluates every step of an event-driven
+//! [`ServingSchedule`] — decode groups and prefill chunks, lowered
+//! under a [`KvLayout`] by a [`ServingModel`] — against one session.
+//! It reduces the trace to per-step and aggregate serving metrics
+//! (generated tokens per second, energy per token, slot occupancy and
+//! MAC-weighted compute utilization) and folds the evaluated step
+//! durations into per-request [`RequestLatency`] records:
+//! time-to-first-token and time-between-tokens percentiles in real time
+//! at the system clock. [`scenario_trace`](crate::scenario_trace) runs
+//! it on a [`ServingScenario`](lumen_workload::ServingScenario)'s own
+//! schedule and layout; a closed loop with
+//! [`PrefillMode::Resident`](lumen_workload::PrefillMode::Resident) is
+//! the saturation regime, where prompts cost nothing.
 //!
 //! The step networks are pure functions of each step's *composition*
 //! (the padded attend-length classes with group sizes, plus each prefill
 //! chunk's padded length, size and copy-on-write), so a thousand-step
-//! schedule revisits far fewer distinct compositions. Both entry points
-//! therefore cost steps through a per-call step-cost oracle: a step whose
+//! schedule revisits far fewer distinct compositions. Steps are
+//! therefore costed through a per-call step-cost oracle: a step whose
 //! composition was already costed is answered from a memo without being
 //! lowered, and any other step is lowered and folded layer by layer
 //! against compact per-signature records, each looked up in the
@@ -33,10 +33,9 @@
 //!
 //! ```
 //! use lumen_arch::{ArchBuilder, Domain, Fanout};
-//! use lumen_core::serving::serving_sweep;
-//! use lumen_core::{EvalSession, MappingStrategy, NetworkOptions, System};
+//! use lumen_core::{scenario_trace, EvalSession, MappingStrategy, NetworkOptions, System};
 //! use lumen_units::{Energy, Frequency};
-//! use lumen_workload::serving::{BatchSchedule, RequestMix, ServingModel};
+//! use lumen_workload::serving::{PrefillMode, RequestMix, ServingModel, ServingScenario};
 //! use lumen_workload::{Dim, DimSet, TensorSet};
 //!
 //! let arch = ArchBuilder::new("toy", Frequency::from_gigahertz(1.0))
@@ -54,12 +53,15 @@
 //!     .unwrap();
 //!
 //! let session = EvalSession::new(System::new(arch, MappingStrategy::default()));
-//! let schedule = BatchSchedule::build(&RequestMix::uniform(4, 100, 4), 2);
-//! let result = serving_sweep(
+//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 100, 4), 2)
+//!     .kv_bucket(64)
+//!     .prefill(PrefillMode::Resident)
+//!     .build()
+//!     .unwrap();
+//! let result = scenario_trace(
 //!     &session,
 //!     &ServingModel::gpt2_small(),
-//!     &schedule,
-//!     64,
+//!     &scenario,
 //!     &NetworkOptions::baseline(),
 //! )
 //! .unwrap();
@@ -71,12 +73,11 @@ use crate::evaluator::Reroute;
 use crate::network::fusion_reroute;
 use crate::{CostCategory, EvalSession, LayerEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
-use lumen_workload::serving::{BatchSchedule, KvLayout, ServingModel, ServingSchedule};
+use lumen_workload::serving::{KvLayout, ServingModel, ServingSchedule, StepKey};
 use lumen_workload::{LayerSignature, Network, TensorKind};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
 /// trace stays cheap to hold.
@@ -86,8 +87,8 @@ pub struct ServingStepPoint {
     pub step: usize,
     /// Requests decoding this step (each generated one token).
     pub occupancy: usize,
-    /// Prompt tokens prefilled this step (0 for the closed-loop
-    /// resident-prefill path).
+    /// Prompt tokens prefilled this step (always 0 under
+    /// [`PrefillMode::Resident`](lumen_workload::PrefillMode::Resident)).
     pub prefill_tokens: usize,
     /// True MACs of the step's lowered network (padded accounting).
     pub macs: u64,
@@ -189,14 +190,13 @@ pub struct ServingEvaluation {
     /// Decode slots of the schedule the sweep evaluated.
     pub capacity: usize,
     /// The KV rounding quantum the steps were lowered with: the bucket
-    /// for [`serving_sweep`]/[`serving_trace`], the page for a
-    /// [`serving_trace_with`] under [`KvLayout::Paged`].
+    /// under [`KvLayout::Bucketed`], the page under [`KvLayout::Paged`].
     pub kv_bucket: usize,
     /// One point per scheduler step, execution order.
     pub points: Vec<ServingStepPoint>,
-    /// Per-request latency records, ordered by request index. For the
-    /// closed-loop [`serving_sweep`] every arrival is step 0, so TTFT
-    /// measures pure queueing + first decode.
+    /// Per-request latency records, ordered by request index. Under a
+    /// closed loop every arrival is step 0, so TTFT measures pure
+    /// queueing + prefill + first decode.
     pub requests: Vec<RequestLatency>,
 }
 
@@ -324,10 +324,9 @@ struct StepMembers {
 }
 
 /// Folds evaluated step durations into per-request latency records.
-/// `arrivals` maps request index to arrival step; `None` means
-/// everything arrived at step 0 (the closed loop).
+/// `arrivals` maps request index to arrival step.
 fn request_latencies(
-    arrivals: Option<&[usize]>,
+    arrivals: &[usize],
     steps: &[StepMembers],
     cycles: &[f64],
 ) -> Vec<RequestLatency> {
@@ -371,15 +370,13 @@ fn request_latencies(
         }
     }
     let mut records: Vec<RequestLatency> = records.into_iter().flatten().collect();
-    if let Some(arrivals) = arrivals {
-        for record in &mut records {
-            let wall = arrivals.get(record.request).copied().unwrap_or(0);
-            // First emitted step at or after the arrival step (wall
-            // steps are increasing): its start is when the server could
-            // first see the request.
-            let first = steps.partition_point(|s| s.wall < wall);
-            record.arrival_cycles = starts.get(first).copied().unwrap_or(0.0);
-        }
+    for record in &mut records {
+        let wall = arrivals.get(record.request).copied().unwrap_or(0);
+        // First emitted step at or after the arrival step (wall steps
+        // are increasing): its start is when the server could first see
+        // the request.
+        let first = steps.partition_point(|s| s.wall < wall);
+        record.arrival_cycles = starts.get(first).copied().unwrap_or(0.0);
     }
     records
 }
@@ -426,11 +423,10 @@ struct LayerRecord {
     energy: Vec<(usize, CostCategory, Option<TensorKind>, Energy)>,
 }
 
-/// The step-cost oracle behind [`serving_sweep`] and
-/// [`serving_trace_with`]: one per call, answering a step's
-/// [`StepCost`] from
+/// The step-cost oracle behind [`serving_trace_with`]: one per call,
+/// answering a step's [`StepCost`] from
 ///
-/// - a **step memo** keyed on the step's composition (`K`) — under one
+/// - a **step memo** keyed on the step's [`StepKey`] — under one
 ///   model, layout and option set, equal keys lower to identical
 ///   signature sequences, so a hit skips lowering and evaluation
 ///   outright and credits the step's layer count to the session's hit
@@ -447,17 +443,17 @@ struct LayerRecord {
 ///
 /// Both tables are off when the session has no cache: `--no-cache`
 /// then evaluates every layer of every step.
-struct StepOracle<'a, K> {
+struct StepOracle<'a> {
     session: &'a EvalSession,
     options: &'a NetworkOptions,
-    memo: Option<HashMap<K, StepCost>>,
+    memo: Option<HashMap<StepKey, StepCost>>,
     slots: Option<HashMap<(LayerSignature, Reroute), usize>>,
     records: Vec<LayerRecord>,
     labels: HashMap<String, usize>,
 }
 
-impl<'a, K: Hash + Eq> StepOracle<'a, K> {
-    fn new(session: &'a EvalSession, options: &'a NetworkOptions) -> StepOracle<'a, K> {
+impl<'a> StepOracle<'a> {
+    fn new(session: &'a EvalSession, options: &'a NetworkOptions) -> StepOracle<'a> {
         let cached = session.cache().is_some();
         StepOracle {
             session,
@@ -471,7 +467,11 @@ impl<'a, K: Hash + Eq> StepOracle<'a, K> {
 
     /// The cost of the step keyed `key`, lowering it with `lower` only
     /// on a memo miss.
-    fn cost(&mut self, key: K, lower: impl FnOnce() -> Network) -> Result<StepCost, SystemError> {
+    fn cost(
+        &mut self,
+        key: StepKey,
+        lower: impl FnOnce() -> Network,
+    ) -> Result<StepCost, SystemError> {
         if let Some(cost) = self.memo.as_ref().and_then(|memo| memo.get(&key)) {
             self.session.credit_hits(cost.layers);
             return Ok(*cost);
@@ -592,100 +592,23 @@ fn record(labels: &mut HashMap<String, usize>, eval: &LayerEvaluation) -> LayerR
     }
 }
 
-/// Evaluates every step of `schedule` — lowered by `model` at
-/// `kv_bucket` — through `session`, in execution order against the
-/// session's shared cache.
-///
-/// Steps with the same bucketed active-set composition share every layer
-/// signature, so the sweep's mapping-search cost is bounded by the
-/// number of distinct *(padded attend length, group size)* pairs the
-/// schedule visits, not its step count; check
-/// [`cache_stats`](EvalSession::cache_stats) afterwards for the
-/// accounting.
-///
-/// # Errors
-///
-/// [`SystemError::NoMapping`] for the first step (in execution order)
-/// with an unmappable layer.
-pub fn serving_sweep(
-    session: &EvalSession,
-    model: &ServingModel,
-    schedule: &BatchSchedule,
-    kv_bucket: usize,
-    options: &NetworkOptions,
-) -> Result<ServingEvaluation, SystemError> {
-    let mut oracle = StepOracle::new(session, options);
-    let points = schedule
-        .steps()
-        .iter()
-        .enumerate()
-        .map(|(step, state)| {
-            let kv_lens = state.kv_lens();
-            let key = ServingModel::bucketed_composition(&kv_lens, kv_bucket);
-            let cost = oracle.cost(key, || model.lower_step(&kv_lens, kv_bucket))?;
-            Ok(cost.point(step, state.occupancy(), 0))
-        })
-        .collect::<Result<Vec<_>, SystemError>>()?;
-    let members: Vec<StepMembers> = schedule
-        .steps()
-        .iter()
-        .enumerate()
-        .map(|(wall, state)| StepMembers {
-            wall,
-            decode: state.active().iter().map(|s| s.request).collect(),
-            prefill: Vec::new(),
-        })
-        .collect();
-    let cycles: Vec<f64> = points.iter().map(|p| p.cycles).collect();
-    let requests = request_latencies(None, &members, &cycles);
-    Ok(ServingEvaluation {
-        capacity: schedule.capacity(),
-        kv_bucket,
-        points,
-        requests,
-    })
-}
-
 /// Evaluates every emitted step of an event-driven [`ServingSchedule`]
 /// — decode groups *and* prefill chunks, lowered by
-/// [`ServingModel::lower_serving_step`] — through `session`, and folds
-/// the evaluated step durations into per-request latency records:
-/// TTFT/TBT are read off [`ServingEvaluation::ttft_percentiles`] /
+/// [`ServingModel::lower_serving_step_with`] under `layout` — through
+/// `session`, in execution order against the session's shared cache,
+/// and folds the evaluated step durations into per-request latency
+/// records: TTFT/TBT are read off
+/// [`ServingEvaluation::ttft_percentiles`] /
 /// [`ServingEvaluation::tbt_percentiles`] in real time at the system
 /// clock.
 ///
-/// This is where the free-prefill bug dies: a request's prompt costs
-/// MACs, energy and cycles in the step(s) that prefill it, so a
-/// one-request trace's totals equal the prefill + decode closed forms
-/// ([`ServingModel::prefill_macs`] + [`ServingModel::step_macs`]).
-///
-/// # Errors
-///
-/// [`SystemError::NoMapping`] for the first step (in execution order)
-/// with an unmappable layer.
-pub fn serving_trace(
-    session: &EvalSession,
-    model: &ServingModel,
-    schedule: &ServingSchedule,
-    kv_bucket: usize,
-    options: &NetworkOptions,
-) -> Result<ServingEvaluation, SystemError> {
-    serving_trace_with(
-        session,
-        model,
-        schedule,
-        &KvLayout::Bucketed { bucket: kv_bucket },
-        options,
-    )
-}
-
-/// [`serving_trace`] under an explicit KV residency [`KvLayout`]:
-/// [`KvLayout::Bucketed`] reproduces `serving_trace` exactly, while
-/// [`KvLayout::Paged`] lowers every step through
-/// [`ServingModel::lower_serving_step_with`] — attend lengths padded to
-/// the page instead of the bucket, shared-prefix copy-on-write charged
-/// on each sharer's first private chunk. Because a page divides the
-/// usual bucket, the paged trace's backing-store traffic
+/// A request's prompt costs MACs, energy and cycles in the step(s) that
+/// prefill it, so every point's MACs equal
+/// [`ServingModel::serving_step_macs_with`]. Under
+/// [`KvLayout::Paged`], attend lengths pad to the page instead of the
+/// bucket and shared-prefix copy-on-write is charged on each sharer's
+/// first private chunk. Because a page divides the usual bucket, the
+/// paged trace's backing-store traffic
 /// ([`ServingEvaluation::total_backing_accesses`]) is bounded above by
 /// the bucketed trace's — the delta is the padding waste the page
 /// table eliminates.
@@ -722,7 +645,7 @@ pub fn serving_trace_with(
         })
         .collect();
     let cycles: Vec<f64> = points.iter().map(|p| p.cycles).collect();
-    let requests = request_latencies(Some(schedule.arrivals()), &members, &cycles);
+    let requests = request_latencies(schedule.arrivals(), &members, &cycles);
     Ok(ServingEvaluation {
         capacity: schedule.capacity(),
         kv_bucket: layout.quantum(),
@@ -736,7 +659,7 @@ mod tests {
     use super::*;
     use crate::{MappingStrategy, System};
     use lumen_arch::{ArchBuilder, Domain, Fanout};
-    use lumen_workload::serving::RequestMix;
+    use lumen_workload::serving::{PageTable, PrefillMode, RequestMix, ServingConfig};
     use lumen_workload::{Dim, DimSet, TensorSet};
 
     fn session() -> EvalSession {
@@ -760,6 +683,16 @@ mod tests {
         EvalSession::new(System::new(arch, MappingStrategy::default()))
     }
 
+    /// The closed-loop, FIFO, resident-prefill schedule of `mix`.
+    fn resident(mix: &RequestMix, capacity: usize) -> ServingSchedule {
+        let config = ServingConfig::new(capacity).with_prefill(PrefillMode::Resident);
+        ServingSchedule::build(mix, &config)
+    }
+
+    fn bucketed(bucket: usize) -> KvLayout {
+        KvLayout::Bucketed { bucket }
+    }
+
     /// A one-request step membership: `request` decoding at `wall`.
     fn decoding(wall: usize, request: usize) -> StepMembers {
         StepMembers {
@@ -779,7 +712,7 @@ mod tests {
             decoding(6, 1),
         ];
         let cycles = [10.0, 20.0, 30.0, 40.0];
-        let records = request_latencies(Some(&[0, 3]), &steps, &cycles);
+        let records = request_latencies(&[0, 3], &steps, &cycles);
         assert_eq!(records.len(), 2);
         // Request 1 arrived at wall 3, inside the gap: its clock starts
         // when the wall-5 step does, after 30 cycles of work.
@@ -795,7 +728,7 @@ mod tests {
     #[test]
     fn arrivals_after_the_last_busy_step_fall_back_to_the_origin() {
         let steps = [decoding(0, 0), decoding(1, 0)];
-        let records = request_latencies(Some(&[9]), &steps, &[5.0, 5.0]);
+        let records = request_latencies(&[9], &steps, &[5.0, 5.0]);
         // No step at or after wall 9: the record keeps the trace origin.
         assert_eq!(records[0].arrival_cycles, 0.0);
         assert_eq!(records[0].retire_cycles, 10.0);
@@ -814,10 +747,11 @@ mod tests {
             .unwrap();
         let session =
             EvalSession::new(System::new(arch, MappingStrategy::default())).with_preflight();
-        let schedule = BatchSchedule::build(&RequestMix::uniform(2, 16, 2), 2);
+        let schedule = resident(&RequestMix::uniform(2, 16, 2), 2);
         let model = ServingModel::gpt2_small();
-        let err = serving_sweep(&session, &model, &schedule, 64, &NetworkOptions::baseline())
-            .unwrap_err();
+        let options = NetworkOptions::baseline();
+        let err =
+            serving_trace_with(&session, &model, &schedule, &bucketed(64), &options).unwrap_err();
         assert!(matches!(err, SystemError::Preflight { .. }), "{err}");
         assert_eq!(session.cache_stats().misses, 0, "nothing was searched");
     }
@@ -827,15 +761,22 @@ mod tests {
         let session = session();
         let model = ServingModel::gpt2_small();
         let mix = RequestMix::uniform(4, 100, 4);
-        let schedule = BatchSchedule::build(&mix, 2);
-        let result =
-            serving_sweep(&session, &model, &schedule, 64, &NetworkOptions::baseline()).unwrap();
+        let schedule = resident(&mix, 2);
+        let layout = bucketed(64);
+        let result = serving_trace_with(
+            &session,
+            &model,
+            &schedule,
+            &layout,
+            &NetworkOptions::baseline(),
+        )
+        .unwrap();
         assert_eq!(result.points.len(), schedule.total_steps());
         assert_eq!(result.total_tokens(), mix.total_output_tokens());
         assert!((result.mean_occupancy() - schedule.mean_occupancy()).abs() < 1e-12);
         // Per-step MACs match the lowering's closed form.
         for (point, step) in result.points.iter().zip(schedule.steps()) {
-            assert_eq!(point.macs, model.step_macs(&step.kv_lens(), 64));
+            assert_eq!(point.macs, model.serving_step_macs_with(step, &layout));
             assert!(point.energy > Energy::ZERO);
             assert!(point.cycles > 0.0);
             assert!(point.utilization > 0.0 && point.utilization <= 1.0 + 1e-9);
@@ -933,8 +874,6 @@ mod tests {
 
     #[test]
     fn paged_layout_trims_backing_traffic_and_macs() {
-        use lumen_workload::serving::{PageTable, PrefillMode, ServingConfig};
-
         let model = ServingModel::gpt2_small();
         let mix = RequestMix::uniform(2, 100, 6);
         let config =
@@ -942,7 +881,8 @@ mod tests {
         let schedule = ServingSchedule::build(&mix, &config);
         let options = NetworkOptions::baseline();
 
-        let bucketed = serving_trace(&session(), &model, &schedule, 256, &options).unwrap();
+        let bucketed =
+            serving_trace_with(&session(), &model, &schedule, &bucketed(256), &options).unwrap();
         assert!(bucketed.total_backing_accesses() > 0.0);
         let paged = serving_trace_with(
             &session(),
@@ -969,28 +909,10 @@ mod tests {
             paged.total_prefill_tokens(),
             bucketed.total_prefill_tokens()
         );
-
-        // A bucketed trace through the explicit-layout entry point is
-        // the legacy path exactly.
-        let via_layout = serving_trace_with(
-            &session(),
-            &model,
-            &schedule,
-            &KvLayout::Bucketed { bucket: 256 },
-            &options,
-        )
-        .unwrap();
-        assert_eq!(via_layout.total_macs(), bucketed.total_macs());
-        assert_eq!(
-            via_layout.total_backing_accesses(),
-            bucketed.total_backing_accesses()
-        );
     }
 
     #[test]
     fn shared_prefix_saves_prefill_work_and_charges_cow() {
-        use lumen_workload::serving::{PageTable, PrefillMode, ServingConfig};
-
         let model = ServingModel::gpt2_small();
         let config =
             ServingConfig::new(4).with_prefill(PrefillMode::OnAdmission { chunk: Some(64) });
@@ -1030,15 +952,14 @@ mod tests {
 
     #[test]
     fn trace_charges_prefill_and_records_latencies() {
-        use lumen_workload::serving::{PrefillMode, ServingConfig};
-
         let session = session();
         let model = ServingModel::gpt2_small();
         let mix = RequestMix::uniform(1, 100, 4);
         let config = ServingConfig::new(1).with_prefill(PrefillMode::OnAdmission { chunk: None });
         let schedule = ServingSchedule::build(&mix, &config);
+        let options = NetworkOptions::baseline();
         let result =
-            serving_trace(&session, &model, &schedule, 64, &NetworkOptions::baseline()).unwrap();
+            serving_trace_with(&session, &model, &schedule, &bucketed(64), &options).unwrap();
 
         // One prefill step + four decode steps.
         assert_eq!(result.points.len(), 5);
@@ -1046,12 +967,17 @@ mod tests {
         assert_eq!(result.total_tokens(), 4);
         // The one-request totals are exactly prefill + decode closed
         // forms — the accounting the resident-prefill path never had.
-        let expect = model.prefill_macs(100, None, 64)
-            + model.step_macs(&[100], 64)
-            + model.step_macs(&[101], 64)
-            + model.step_macs(&[102], 64)
-            + model.step_macs(&[103], 64);
-        assert_eq!(result.total_macs(), expect);
+        // The resident single-slot schedule decodes at kv 100..=103.
+        let decode_only = resident(&mix, 1);
+        let decode: u64 = decode_only
+            .steps()
+            .iter()
+            .map(|s| model.serving_step_macs_with(s, &bucketed(64)))
+            .sum();
+        assert_eq!(
+            result.total_macs(),
+            model.prefill_macs(100, None, 64) + decode
+        );
 
         assert_eq!(result.requests.len(), 1);
         let r = &result.requests[0];
@@ -1077,39 +1003,34 @@ mod tests {
         // The bugfix demonstrated head-on: the same one-request trace
         // costs strictly more once prefill is charged, by exactly the
         // prefill closed form.
-        use lumen_workload::serving::{PrefillMode, ServingConfig};
-
         let model = ServingModel::gpt2_small();
         let mix = RequestMix::uniform(1, 100, 4);
-        let charged = serving_trace(
+        let charged = serving_trace_with(
             &session(),
             &model,
             &ServingSchedule::build(
                 &mix,
                 &ServingConfig::new(1).with_prefill(PrefillMode::OnAdmission { chunk: None }),
             ),
-            64,
+            &bucketed(64),
             &NetworkOptions::baseline(),
         )
         .unwrap();
-        let resident = serving_trace(
+        let uncharged = serving_trace_with(
             &session(),
             &model,
-            &ServingSchedule::build(
-                &mix,
-                &ServingConfig::new(1).with_prefill(PrefillMode::Resident),
-            ),
-            64,
+            &resident(&mix, 1),
+            &bucketed(64),
             &NetworkOptions::baseline(),
         )
         .unwrap();
         assert_eq!(
-            charged.total_macs() - resident.total_macs(),
+            charged.total_macs() - uncharged.total_macs(),
             model.prefill_macs(100, None, 64),
             "the resident path under-counts by exactly the prefill work"
         );
-        assert!(charged.total_energy() > resident.total_energy());
-        assert!(charged.total_cycles() > resident.total_cycles());
+        assert!(charged.total_energy() > uncharged.total_energy());
+        assert!(charged.total_cycles() > uncharged.total_cycles());
     }
 
     #[test]
@@ -1119,19 +1040,19 @@ mod tests {
         // token at capacity 8 must not exceed the serial schedule's.
         let model = ServingModel::gpt2_small();
         let mix = RequestMix::uniform(8, 100, 2);
-        let serial = serving_sweep(
+        let serial = serving_trace_with(
             &session(),
             &model,
-            &BatchSchedule::build(&mix, 1),
-            64,
+            &resident(&mix, 1),
+            &bucketed(64),
             &NetworkOptions::baseline(),
         )
         .unwrap();
-        let batched = serving_sweep(
+        let batched = serving_trace_with(
             &session(),
             &model,
-            &BatchSchedule::build(&mix, 8),
-            64,
+            &resident(&mix, 8),
+            &bucketed(64),
             &NetworkOptions::baseline(),
         )
         .unwrap();

@@ -7,7 +7,8 @@ use lumen_workload::ArrivalProcess;
 
 /// `L0401`: a schedule with zero decode slots.
 ///
-/// `BatchSchedule::build` panics on it; the lint reports the mix by
+/// `ServingConfig::try_new` and `ServingScenarioBuilder::build` reject
+/// it with `ServingError::ZeroCapacity`; the lint reports the mix by
 /// name instead.
 pub struct ZeroCapacity;
 

@@ -17,11 +17,11 @@
 //! for one or more *prefill events* — each lowering a prompt chunk
 //! through the dense attention path — before its first decode step, so
 //! prompt tokens cost MACs, energy and cycles exactly once per
-//! request. [`PrefillMode::Resident`] reproduces the PR 5 accounting
-//! (prompts materialize pre-cached) and is what keeps
-//! [`BatchSchedule`](super::BatchSchedule) bit-identical for the
-//! legacy goldens: with a closed loop, FIFO admission and resident
-//! prefill, this core reduces exactly to the old scheduler loop.
+//! request. [`PrefillMode::Resident`] keeps the PR 5 accounting
+//! (prompts materialize pre-cached): with a closed loop and FIFO
+//! admission it is the pure continuous-batching loop — admit on a free
+//! slot, one token per active request per step, retire on the last
+//! token — that the closed-loop serving study and its goldens use.
 
 use super::{ActiveSlot, AdmissionPolicy, ArrivalProcess, RequestMix, ServingError};
 
@@ -464,7 +464,7 @@ impl ServingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{BatchSchedule, Request};
+    use crate::serving::Request;
 
     fn mix() -> RequestMix {
         RequestMix::custom(
@@ -475,21 +475,6 @@ mod tests {
                 Request::new(100, 2),
             ],
         )
-    }
-
-    #[test]
-    fn closed_loop_resident_matches_the_legacy_scheduler() {
-        let mix = mix();
-        for capacity in [1, 2, 3, 5] {
-            let legacy = BatchSchedule::build(&mix, capacity);
-            let config = ServingConfig::new(capacity).with_prefill(PrefillMode::Resident);
-            let event = ServingSchedule::build(&mix, &config);
-            assert_eq!(event.total_steps(), legacy.total_steps());
-            for (e, l) in event.steps().iter().zip(legacy.steps()) {
-                assert!(e.prefill().is_empty());
-                assert_eq!(e.decode(), l.active());
-            }
-        }
     }
 
     #[test]

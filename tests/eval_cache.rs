@@ -315,9 +315,9 @@ fn decode_trace_512_steps_costs_a_handful_of_searches() {
 }
 
 /// The serving acceptance criterion made literal: an 800-step
-/// continuous-batching schedule of a mixed-length long-tail request
-/// population (28 requests over 8 slots, KV lengths padded to 128-token
-/// buckets) evaluated through one [`EvalSession`] performs at most
+/// closed-loop, resident-prefill continuous-batching schedule of a
+/// mixed-length long-tail request population (28 requests over 8
+/// slots, KV lengths padded to 128-token buckets) evaluated through one [`EvalSession`] performs at most
 /// *(distinct (padded attend length, group size) pairs × unique
 /// signatures per group)* mapping searches — the counting `Custom`
 /// strategy proves it — at a ≥ 99% hit rate over tens of thousands of
@@ -325,7 +325,9 @@ fn decode_trace_512_steps_costs_a_handful_of_searches() {
 #[test]
 fn serving_trace_800_steps_costs_a_handful_of_searches() {
     use lumen::mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
-    use lumen::workload::serving::{BatchSchedule, RequestMix, ServingModel};
+    use lumen::workload::serving::{
+        KvLayout, PrefillMode, RequestMix, ServingConfig, ServingModel, ServingSchedule,
+    };
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
@@ -344,7 +346,8 @@ fn serving_trace_800_steps_costs_a_handful_of_searches() {
     // are shape-independent.
     let model = ServingModel::new("toy-lm", 256, 4, 512, 2, 4096);
     let mix = RequestMix::long_tail(0x51EED, 28, (0, 480), 80, 2);
-    let schedule = BatchSchedule::build(&mix, 8);
+    let config = ServingConfig::new(8).with_prefill(PrefillMode::Resident);
+    let schedule = ServingSchedule::build(&mix, &config);
     assert!(
         schedule.total_steps() >= 512,
         "the trace is long enough to prove scaling: {} steps",
@@ -352,14 +355,15 @@ fn serving_trace_800_steps_costs_a_handful_of_searches() {
     );
 
     let bucket = 128usize;
+    let layout = KvLayout::Bucketed { bucket };
     let session = EvalSession::new(System::new(generic_arch(), counting));
     let mut layer_evals = 0usize;
     let mut pairs: HashSet<(usize, usize)> = HashSet::new();
     let mut unique: HashSet<LayerSignature> = HashSet::new();
     for step in schedule.steps() {
-        let kv = step.kv_lens();
+        let kv = step.decode_kv_lens();
         pairs.extend(ServingModel::bucketed_composition(&kv, bucket));
-        let net = model.lower_step(&kv, bucket);
+        let net = model.lower_serving_step_with(step, &layout);
         unique.extend(net.layers().iter().map(Layer::signature));
         let eval = session
             .evaluate_network(&net, &NetworkOptions::baseline())

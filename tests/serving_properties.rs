@@ -1,28 +1,29 @@
 //! Property and invariant tests for the continuous-batching scheduler
 //! and its lowering.
 //!
-//! The pinned properties: every request's tokens are produced exactly
-//! once (with consecutive KV lengths starting at its prompt), step MACs
-//! equal the sum of each active request's padded per-token work,
-//! occupancy never exceeds capacity (and never idles while work waits),
-//! and a fully-uniform mix through a single slot reproduces PR 4's
+//! The closed-loop, FIFO, resident-prefill schedule pins the batching
+//! laws: every request's tokens are produced exactly once (with
+//! consecutive KV lengths starting at its prompt), step MACs equal the
+//! sum of each active request's padded per-token work, occupancy never
+//! exceeds capacity (and never idles while work waits), and a
+//! fully-uniform mix through a single slot reproduces PR 4's
 //! `decode_trace` totals bit-identically through the evaluator.
 //!
 //! The open-loop event schedule adds its own laws: seeded arrivals are
 //! deterministic, each prompt prefills exactly once in contiguous
-//! chunks, prefill+decode occupancy respects capacity, the evaluator
-//! charges every chunk exactly once, and a closed-loop FIFO
-//! resident-prefill configuration reproduces the legacy
-//! `BatchSchedule` slot for slot.
+//! chunks, prefill+decode occupancy respects capacity, and the evaluator
+//! charges every chunk exactly once.
 
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
-use lumen::core::serving::{serving_sweep, serving_trace, serving_trace_with, ServingStepPoint};
-use lumen::core::{CacheStats, EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen::core::serving::{serving_trace_with, ServingStepPoint};
+use lumen::core::{
+    scenario_trace, CacheStats, EvalSession, MappingStrategy, NetworkOptions, System,
+};
 use lumen::mapper::LevelTraffic;
 use lumen::units::{Energy, Frequency};
 use lumen::workload::serving::{
-    ArrivalProcess, BatchSchedule, KvLayout, PageTable, PrefillMode, Request, RequestMix,
-    ServingConfig, ServingModel, ServingSchedule, StepKey,
+    ArrivalProcess, KvLayout, PageTable, PrefillMode, Request, RequestMix, ServingConfig,
+    ServingModel, ServingScenario, ServingSchedule, ServingStep, StepKey,
 };
 use lumen::workload::{
     networks, AdmissionPolicy, Dim, DimSet, Layer, LayerSignature, Network, TensorSet,
@@ -50,14 +51,34 @@ fn toy_arch() -> Architecture {
         .expect("toy architecture is valid")
 }
 
+/// The closed-loop, FIFO, resident-prefill schedule of `mix`: every
+/// request queues at step 0 and its prompt is cached on admission.
+fn resident(mix: &RequestMix, capacity: usize) -> ServingSchedule {
+    let config = ServingConfig::new(capacity).with_prefill(PrefillMode::Resident);
+    ServingSchedule::build(mix, &config)
+}
+
+/// A pure-decode step whose slots sit at `kv`, in order: the first
+/// step of a resident closed loop with one slot per request.
+fn decode_step(kv: &[usize]) -> ServingStep {
+    let requests = kv.iter().map(|&k| Request::new(k, 1)).collect();
+    resident(&RequestMix::custom("kv", requests), kv.len()).steps()[0].clone()
+}
+
+/// One request's decode MACs for the token it generates at `kv`.
+fn token_macs(model: &ServingModel, kv: usize, layout: &KvLayout) -> u64 {
+    model.serving_step_macs_with(&decode_step(&[kv]), layout)
+}
+
 /// Every request's tokens are produced exactly once: across the whole
 /// schedule, request `r` appears in exactly `output` steps, and the KV
 /// lengths it is scheduled at are `prompt, prompt+1, ..,
-/// prompt+output-1` in execution order.
-fn assert_tokens_exactly_once(mix: &RequestMix, schedule: &BatchSchedule) {
+/// prompt+output-1` in execution order. Nothing is prefilled.
+fn assert_tokens_exactly_once(mix: &RequestMix, schedule: &ServingSchedule) {
     let mut seen: HashMap<usize, Vec<usize>> = HashMap::new();
     for step in schedule.steps() {
-        for slot in step.active() {
+        assert!(step.prefill().is_empty(), "resident prompts are cached");
+        for slot in step.decode() {
             seen.entry(slot.request).or_default().push(slot.kv_len);
         }
     }
@@ -87,10 +108,10 @@ fn every_token_is_produced_exactly_once() {
     ];
     for mix in &mixes {
         for capacity in [1, 2, 5, 64] {
-            let schedule = BatchSchedule::build(mix, capacity);
+            let schedule = resident(mix, capacity);
             assert_tokens_exactly_once(mix, &schedule);
             assert_eq!(
-                schedule.total_tokens(),
+                schedule.total_decode_tokens(),
                 mix.total_output_tokens(),
                 "{} cap {capacity}",
                 mix.name()
@@ -103,7 +124,7 @@ fn every_token_is_produced_exactly_once() {
 fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
     let mix = RequestMix::bimodal(3, 25, (64, 4), (256, 30), 40);
     for capacity in [1, 3, 8, 25, 100] {
-        let schedule = BatchSchedule::build(&mix, capacity);
+        let schedule = resident(&mix, capacity);
         let mut retired = 0usize;
         let mut admitted: Vec<bool> = vec![false; mix.len()];
         for (i, step) in schedule.steps().iter().enumerate() {
@@ -113,7 +134,7 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
                 step.occupancy()
             );
             assert!(step.occupancy() > 0, "no empty steps");
-            for slot in step.active() {
+            for slot in step.decode() {
                 admitted[slot.request] = true;
             }
             // Work-conserving: a slot sits free only once the queue is
@@ -123,7 +144,7 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
                 assert_eq!(waiting, 0, "cap {capacity} step {i}: idle slot with queue");
             }
             retired += step
-                .active()
+                .decode()
                 .iter()
                 .filter(|s| {
                     s.kv_len + 1
@@ -139,41 +160,46 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
 fn step_macs_equal_the_sum_over_the_active_set() {
     let model = ServingModel::gpt2_small();
     let mix = RequestMix::long_tail(9, 16, (64, 400), 8, 3);
-    let schedule = BatchSchedule::build(&mix, 5);
+    let schedule = resident(&mix, 5);
     for bucket in [1, 64, 256] {
+        let layout = KvLayout::Bucketed { bucket };
         for step in schedule.steps() {
-            let kv = step.kv_lens();
-            let net = model.lower_step(&kv, bucket);
+            let net = model.lower_serving_step_with(step, &layout);
             // The network's MACs are exactly the sum of each active
             // request's padded per-token work — no cross-request terms.
-            let per_request: u64 = kv.iter().map(|&k| model.step_macs(&[k], bucket)).sum();
+            let per_request: u64 = step
+                .decode()
+                .iter()
+                .map(|s| token_macs(&model, s.kv_len, &layout))
+                .sum();
             assert_eq!(net.total_macs(), per_request, "bucket {bucket}");
-            assert_eq!(net.total_macs(), model.step_macs(&kv, bucket));
+            assert_eq!(
+                net.total_macs(),
+                model.serving_step_macs_with(step, &layout)
+            );
         }
     }
 }
 
-/// The PR 4 equivalence: a uniform single-slot schedule is exactly a
-/// `decode_trace`, and the evaluator agrees bit for bit — same layer
-/// signatures step by step, so one session evaluates both from the same
-/// cache entries and the per-step energies/cycles match to the last bit.
+/// The PR 4 equivalence: a uniform, capacity-1, resident-prefill
+/// scenario is exactly a `decode_trace`, and the evaluator agrees bit
+/// for bit — same layer signatures step by step, so one session
+/// evaluates both from the same cache entries and the per-step
+/// energies/cycles match to the last bit.
 #[test]
 fn uniform_single_slot_schedule_matches_decode_trace_bit_identically() {
     let (prompt, steps, bucket) = (100usize, 24usize, 16usize);
-    let mix = RequestMix::uniform(1, prompt, steps);
-    let schedule = BatchSchedule::build(&mix, 1);
-    assert_eq!(schedule.total_steps(), steps);
+    let scenario = ServingScenario::builder(RequestMix::uniform(1, prompt, steps), 1)
+        .kv_bucket(bucket)
+        .prefill(PrefillMode::Resident)
+        .build()
+        .expect("scenario is valid");
 
     let model = ServingModel::gpt2_small();
     let session = EvalSession::new(System::new(toy_arch(), MappingStrategy::default()));
-    let serving = serving_sweep(
-        &session,
-        &model,
-        &schedule,
-        bucket,
-        &NetworkOptions::baseline(),
-    )
-    .expect("schedule evaluates");
+    let serving = scenario_trace(&session, &model, &scenario, &NetworkOptions::baseline())
+        .expect("schedule evaluates");
+    assert_eq!(serving.points.len(), steps);
 
     let trace: Vec<_> = networks::gpt2_small_decode_trace(prompt, steps, bucket).collect();
     assert_eq!(serving.points.len(), trace.len());
@@ -307,12 +333,13 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
         .with_prefill(PrefillMode::OnAdmission { chunk });
     let schedule = ServingSchedule::build(&mix, &config);
 
+    let layout = KvLayout::Bucketed { bucket };
     let session = EvalSession::new(System::new(toy_arch(), MappingStrategy::default()));
-    let eval = serving_trace(
+    let eval = serving_trace_with(
         &session,
         &model,
         &schedule,
-        bucket,
+        &layout,
         &NetworkOptions::baseline(),
     )
     .expect("trace evaluates");
@@ -325,14 +352,15 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
     let decode: u64 = schedule
         .steps()
         .iter()
-        .map(|s| model.step_macs(&s.decode_kv_lens(), bucket))
+        .flat_map(ServingStep::decode)
+        .map(|s| token_macs(&model, s.kv_len, &layout))
         .sum();
     assert_eq!(eval.total_macs(), prefill + decode);
 
     // The fanned-out trace is bit-identical to a sequential loop over
     // the same step networks through the same session.
     for (point, step) in eval.points.iter().zip(schedule.steps()) {
-        let net = model.lower_serving_step(step, bucket);
+        let net = model.lower_serving_step_with(step, &layout);
         let reference = session
             .evaluate_network(&net, &NetworkOptions::baseline())
             .expect("step evaluates");
@@ -349,27 +377,6 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The PR 5 equivalence: a closed-loop FIFO resident-prefill event
-    /// schedule is the legacy `BatchSchedule` loop, slot for slot, for
-    /// any seeded population.
-    #[test]
-    fn closed_loop_event_schedule_matches_legacy_batch_schedule(
-        seed in 0usize..1000,
-        count in 1usize..=24,
-        capacity in 1usize..=12,
-        long_percent in 0usize..=100,
-    ) {
-        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent);
-        let legacy = BatchSchedule::build(&mix, capacity);
-        let config = ServingConfig::new(capacity).with_prefill(PrefillMode::Resident);
-        let event = ServingSchedule::build(&mix, &config);
-        prop_assert_eq!(legacy.total_steps(), event.total_steps());
-        for (b, s) in legacy.steps().iter().zip(event.steps()) {
-            prop_assert!(s.prefill().is_empty());
-            prop_assert_eq!(b.active(), s.decode());
-        }
-    }
-
     /// Random mixes and capacities: the scheduler's conservation laws
     /// hold for any seeded population.
     #[test]
@@ -380,8 +387,8 @@ proptest! {
         long_percent in 0usize..=100,
     ) {
         let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent);
-        let schedule = BatchSchedule::build(&mix, capacity);
-        prop_assert_eq!(schedule.total_tokens(), mix.total_output_tokens());
+        let schedule = resident(&mix, capacity);
+        prop_assert_eq!(schedule.total_decode_tokens(), mix.total_output_tokens());
         prop_assert!(schedule
             .steps()
             .iter()
@@ -408,8 +415,10 @@ proptest! {
             .map(|i| (seed.wrapping_mul(31).wrapping_add(i * 97)) % 700)
             .collect();
         let model = ServingModel::new("toy", 64, 4, 128, 2, 1000);
-        let net = model.lower_step(&kv, bucket);
-        prop_assert_eq!(net.total_macs(), model.step_macs(&kv, bucket));
+        let layout = KvLayout::Bucketed { bucket };
+        let step = decode_step(&kv);
+        let net = model.lower_serving_step_with(&step, &layout);
+        prop_assert_eq!(net.total_macs(), model.serving_step_macs_with(&step, &layout));
         let composition = ServingModel::bucketed_composition(&kv, bucket);
         prop_assert_eq!(
             composition.iter().map(|&(_, c)| c).sum::<usize>(),
@@ -537,6 +546,19 @@ fn oracle_layouts() -> [(KvLayout, usize); 3] {
     ]
 }
 
+/// Every `(schedule, layout)` pair the oracle properties run: the
+/// open-loop schedule under each of [`oracle_layouts`], plus the closed
+/// loop with resident prefill over the same population, bucketed.
+fn oracle_inputs(seed: usize, capacity: usize) -> Vec<(ServingSchedule, KvLayout)> {
+    let mut inputs: Vec<(ServingSchedule, KvLayout)> = oracle_layouts()
+        .into_iter()
+        .map(|(layout, shared)| (oracle_schedule(seed, capacity, shared), layout))
+        .collect();
+    let mix = RequestMix::bimodal(seed as u64, 10, (16, 3), (96, 7), 30);
+    inputs.push((resident(&mix, capacity), KvLayout::Bucketed { bucket: 32 }));
+    inputs
+}
+
 /// A point's scalars as raw bits: MACs, energy, cycles, utilization,
 /// backing-store accesses.
 fn point_bits(p: &ServingStepPoint) -> [u64; 5] {
@@ -623,23 +645,22 @@ proptest! {
         capacity in 1usize..=6,
     ) {
         let model = tiny_model();
-        for (layout, shared) in oracle_layouts() {
-            let schedule = oracle_schedule(seed, capacity, shared);
+        for (schedule, layout) in oracle_inputs(seed, capacity) {
             assert_equal_keys_lower_alike(&model, &schedule, &layout);
         }
     }
 
     /// Oracle points equal the per-step `evaluate_network` reference bit
-    /// for bit, under every layout and option set; hits + misses count
-    /// every lowered layer, and misses equal the reference path's.
+    /// for bit, under every layout and option set, open loop and closed;
+    /// hits + misses count every lowered layer, and misses equal the
+    /// reference path's.
     #[test]
     fn oracle_points_match_the_per_layer_path_bit_for_bit(
         seed in 0usize..1000,
         capacity in 1usize..=6,
     ) {
         let model = tiny_model();
-        for (layout, shared) in oracle_layouts() {
-            let schedule = oracle_schedule(seed, capacity, shared);
+        for (schedule, layout) in oracle_inputs(seed, capacity) {
             let lowered: Vec<Network> = schedule
                 .steps()
                 .iter()
@@ -661,28 +682,6 @@ proptest! {
         }
     }
 
-    /// The closed loop keys on the bucketed composition: `serving_sweep`
-    /// matches the per-step reference too.
-    #[test]
-    fn closed_loop_oracle_matches_the_per_layer_path(
-        seed in 0usize..1000,
-        capacity in 1usize..=6,
-    ) {
-        let model = tiny_model();
-        let mix = RequestMix::bimodal(seed as u64, 10, (16, 3), (96, 7), 30);
-        let schedule = BatchSchedule::build(&mix, capacity);
-        for options in oracle_options() {
-            let session = toy_session();
-            let eval = serving_sweep(&session, &model, &schedule, 32, &options)
-                .expect("sweep evaluates");
-            let reference = toy_session();
-            let nets = schedule.steps().iter().map(|s| model.lower_step(&s.kv_lens(), 32));
-            let expected = reference_bits(&reference, nets, &options);
-            let got: Vec<[u64; 5]> = eval.points.iter().map(point_bits).collect();
-            prop_assert_eq!(got, expected);
-            prop_assert_eq!(session.cache_stats().misses, reference.cache_stats().misses);
-        }
-    }
 }
 
 /// A pre-flight session lints each memo-miss step and still matches the
